@@ -136,7 +136,10 @@ def _parse_matching(text: str) -> flow_matching.HaremMatching:
         head, sep, tail = line.partition("->")
         if not sep:
             raise ValueError(f"bad matching line: {line!r}")
-        stars[int(head.strip())] = tuple(int(t) for t in tail.split())
+        a = int(head.strip())
+        if a in stars:
+            raise ValueError(f"left index {a} listed twice in matching")
+        stars[a] = tuple(int(t) for t in tail.split())
     return flow_matching.HaremMatching(stars=stars)
 
 

@@ -39,11 +39,12 @@ class Vertex:
 
 @dataclass(frozen=True)
 class BipartiteOracle:
-    """A bipartite graph given by procedures.
+    """A bipartite graph given by one procedure.
 
-    ``neighbors`` maps a vertex to the sorted tuple of opposite-side indices
-    adjacent to it; ``degree`` must agree with the length of that tuple.
-    Oracles must be pure: repeated calls return identical answers.
+    ``neighbors`` maps a vertex to the strictly increasing tuple of
+    opposite-side indices adjacent to it; rows must be symmetric (j is in
+    the row of Li iff i is in the row of Rj).  Oracles must be pure:
+    repeated calls return identical answers.
 
     ``left_support``/``right_support`` are None for graphs living on all of
     the naturals; finite graphs wrapped as oracles declare their vertex sets
@@ -51,7 +52,6 @@ class BipartiteOracle:
     """
 
     neighbors: Callable[[Vertex], tuple[int, ...]]
-    degree: Callable[[Vertex], int]
     name: str = "oracle"
     left_support: tuple[int, ...] | None = None
     right_support: tuple[int, ...] | None = None
@@ -128,7 +128,6 @@ class FiniteBipartiteGraph:
 
         return BipartiteOracle(
             neighbors=neighbors,
-            degree=lambda v: len(neighbors(v)),
             name=name,
             left_support=self.left_ids,
             right_support=self.right_ids,
@@ -167,9 +166,9 @@ def extract_ball(
 
     Removed vertices are invisible: they are neither visited nor traversed,
     so the result is the ball of the residual graph.  Raises ParityError on
-    a radius/side mismatch, OracleError if the oracle's answers are not
-    sorted, contradict its degree procedure, or fail symmetry on the pairs
-    queried in both directions, and BallBudgetExceeded past ``max_vertices``.
+    a radius/side mismatch, OracleError if a queried row is not strictly
+    increasing or the rows fail symmetry on the pairs queried in both
+    directions, and BallBudgetExceeded past ``max_vertices``.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -193,8 +192,6 @@ def extract_ball(
         nbrs = oracle.neighbors(Vertex(side, i))
         if any(x >= y for x, y in zip(nbrs, nbrs[1:])):
             raise OracleError(f"{oracle.name}: neighbors({side.value}{i}) not strictly sorted")
-        if oracle.degree(Vertex(side, i)) != len(nbrs):
-            raise OracleError(f"{oracle.name}: degree({side.value}{i}) != len(neighbors)")
         queried[(side, i)] = nbrs
         other = side.opposite()
         skip = rm_left if other is Side.LEFT else rm_right
@@ -228,20 +225,6 @@ def extract_ball(
     graph = FiniteBipartiteGraph(left_ids, right_ids, adjacency)
     shell = frozenset(j for j in right_ids if dist[(Side.RIGHT, j)] == radius)
     return BallSubgraph(graph=graph, pivot=pivot, radius=radius, shell_right=shell)
-
-
-def check_symmetry(oracle: BipartiteOracle, bound: int) -> list[tuple[int, int]]:
-    """Report all (i, j) with i, j <= bound adjacent in one direction only."""
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    violations: list[tuple[int, int]] = []
-    left_rows = {i: oracle.neighbors(Vertex(Side.LEFT, i)) for i in range(bound + 1)}
-    right_rows = {j: oracle.neighbors(Vertex(Side.RIGHT, j)) for j in range(bound + 1)}
-    for i in range(bound + 1):
-        for j in range(bound + 1):
-            if (j in left_rows[i]) != (i in right_rows[j]):
-                violations.append((i, j))
-    return violations
 
 
 def parse_bg(text: str | bytes) -> tuple[FiniteBipartiteGraph, int | None]:

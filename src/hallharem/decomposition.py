@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol
 
 from .core_graph import BipartiteOracle
-from .errors import EmptySetError, InternalError
+from .errors import InternalError
 from .group_kit import GeneratorSet, Word, act, enumeration, identity, inv
 from .harem_engine import DEFAULT_MAX_BALL, EngineState, identity_witness
 
@@ -91,7 +91,6 @@ def build_action_graph(spec: ActionGraphSpec) -> BipartiteOracle:
 
     return BipartiteOracle(
         neighbors=lambda v: row(v.index),
-        degree=lambda v: len(row(v.index)),
         name=f"action(rank={spec.rank},mode={spec.mode})",
     )
 
@@ -310,33 +309,6 @@ def verify_engine_window(decomp: ParadoxDecomp) -> DecompReport:
     for target in sorted(removed - set(claimed)):
         violations.append(DecompViolation("removed-unclaimed", target, ()))
     return DecompReport(tuple(violations), len(committed))
-
-
-@dataclass(frozen=True)
-class ExpansionEntry:
-    f_set: tuple[int, ...]
-    expanded: bool
-    witness: Word | None
-
-
-def folner_failure_certificate(
-    spec: ActionGraphSpec, family: Sequence[Iterable[int]]
-) -> list[ExpansionEntry]:
-    """For each finite set F, report whether some generator k of R satisfies
-    n * |F ∖ kF| >= |F| (exact arithmetic), with the first such witness."""
-    entries: list[ExpansionEntry] = []
-    for f_raw in family:
-        f = frozenset(f_raw)
-        if not f:
-            raise EmptySetError("family members must be non-empty")
-        witness = None
-        for k in spec.r_set.elements:
-            image = {act(k, x) for x in f}
-            if spec.n * len(f - image) >= len(f):
-                witness = k
-                break
-        entries.append(ExpansionEntry(tuple(sorted(f)), witness is not None, witness))
-    return entries
 
 
 TSV_HEADER = "index\tword\tpsi1\tpsi1_word\tpsi2\tpsi2_word\ttheta1\ttheta2"

@@ -46,15 +46,6 @@ class RankMismatch(HallHaremError):
     """Words from free groups of different ranks were combined."""
 
 
-class DisjointnessViolation(HallHaremError):
-    """Parts of a piecewise partial bijection overlap at a point."""
-
-    def __init__(self, point: int, side: str = "domain"):
-        super().__init__(f"{side}s overlap at {point}")
-        self.point = point
-        self.side = side
-
-
 class EmptySetError(HallHaremError):
     """An operation requires a non-empty finite set."""
 

@@ -83,12 +83,6 @@ class HaremMatching:
                 inv[b] = a
         return inv
 
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted((a, b) for a, star in self.stars.items() for b in star)
-
-    def star_map_key(self, left_ids: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.stars.get(a, ()) for a in left_ids)
-
 
 @dataclass(frozen=True)
 class MatchingViolation:

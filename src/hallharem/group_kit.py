@@ -7,19 +7,19 @@ both directions.  Left multiplication by a fixed word then acts on indices
 as a computable permutation, which is what the matching machinery and the
 decomposition layer consume.
 
-Also here: the step metric generated by a symmetric word set, partial
-bijections with the usual closure operations, exact boundary-ratio tests
-used by the amenability searches, and the commutation test deciding which
-finite word sets witness paradoxicality in a free group.
+Also here: the step metric generated by a symmetric word set, exact
+boundary-ratio tests used by the amenability searches, and the
+commutation test deciding which finite word sets witness paradoxicality
+in a free group.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .errors import EmptySetError, DisjointnessViolation, RankMismatch, SizeGuardError
+from .errors import EmptySetError, RankMismatch, SizeGuardError
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,6 @@ class Word:
             base = ord("a") if l > 0 else ord("A")
             out.append(chr(base + abs(l) - 1))
         return "".join(out)
-
-    def is_identity(self) -> bool:
-        return not self.letters
 
 
 def identity(rank: int) -> Word:
@@ -298,108 +295,6 @@ def ball(r_set: GeneratorSet, center: int, radius: int) -> tuple[int, ...]:
         if not frontier:
             break
     return tuple(sorted(seen))
-
-
-# -- partial bijections ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartialBijection:
-    """A bijection between two subsets of the naturals, given by membership
-    tests and mutually inverse maps.  ``displacement_bound`` is a declared
-    (not verified) bound on how far points move, in metric steps; verifying
-    it is only possible pointwise, so spot checks live in the test suite.
-    """
-
-    domain_test: Callable[[int], bool]
-    map: Callable[[int], int]
-    inverse_map: Callable[[int], int]
-    range_test: Callable[[int], bool]
-    displacement_bound: int | None = None
-
-
-def identity_pb() -> PartialBijection:
-    return PartialBijection(
-        domain_test=lambda n: True,
-        map=lambda n: n,
-        inverse_map=lambda n: n,
-        range_test=lambda n: True,
-        displacement_bound=0,
-    )
-
-
-def compose_pb(p: PartialBijection, q: PartialBijection) -> PartialBijection:
-    """Apply p, then q; defined where p lands inside q's domain."""
-    bound = None
-    if p.displacement_bound is not None and q.displacement_bound is not None:
-        bound = p.displacement_bound + q.displacement_bound
-    return PartialBijection(
-        domain_test=lambda n: p.domain_test(n) and q.domain_test(p.map(n)),
-        map=lambda n: q.map(p.map(n)),
-        inverse_map=lambda n: p.inverse_map(q.inverse_map(n)),
-        range_test=lambda n: q.range_test(n) and p.range_test(q.inverse_map(n)),
-        displacement_bound=bound,
-    )
-
-
-def invert_pb(p: PartialBijection) -> PartialBijection:
-    return PartialBijection(
-        domain_test=p.range_test,
-        map=p.inverse_map,
-        inverse_map=p.map,
-        range_test=p.domain_test,
-        displacement_bound=p.displacement_bound,
-    )
-
-
-def restrict_pb(p: PartialBijection, s: Callable[[int], bool]) -> PartialBijection:
-    return PartialBijection(
-        domain_test=lambda n: p.domain_test(n) and s(n),
-        map=p.map,
-        inverse_map=p.inverse_map,
-        range_test=lambda n: p.range_test(n) and s(p.inverse_map(n)),
-        displacement_bound=p.displacement_bound,
-    )
-
-
-def piecewise_pb(parts: Sequence[PartialBijection]) -> PartialBijection:
-    """Glue finitely many partial bijections with pairwise disjoint domains
-    and ranges.  Disjointness is checked lazily at each queried point."""
-    parts = tuple(parts)
-    bounds = [p.displacement_bound for p in parts]
-    bound = None if any(b is None for b in bounds) or not bounds else max(bounds)
-
-    def owner(n: int) -> PartialBijection | None:
-        claims = [p for p in parts if p.domain_test(n)]
-        if len(claims) > 1:
-            raise DisjointnessViolation(n, "domain")
-        return claims[0] if claims else None
-
-    def co_owner(n: int) -> PartialBijection | None:
-        claims = [p for p in parts if p.range_test(n)]
-        if len(claims) > 1:
-            raise DisjointnessViolation(n, "range")
-        return claims[0] if claims else None
-
-    def map_fn(n: int) -> int:
-        p = owner(n)
-        if p is None:
-            raise ValueError(f"{n} not in piecewise domain")
-        return p.map(n)
-
-    def inverse_fn(n: int) -> int:
-        p = co_owner(n)
-        if p is None:
-            raise ValueError(f"{n} not in piecewise range")
-        return p.inverse_map(n)
-
-    return PartialBijection(
-        domain_test=lambda n: owner(n) is not None,
-        map=map_fn,
-        inverse_map=inverse_fn,
-        range_test=lambda n: co_owner(n) is not None,
-        displacement_bound=bound,
-    )
 
 
 # -- boundary ratios and paradox witnesses --------------------------------

@@ -17,6 +17,7 @@ Finite graphs wrapped as oracles can be driven to exhaustion.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import KeysView
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,7 +65,11 @@ class EngineSnapshot:
 
 
 class EngineState:
-    """Sequential, memoizing matcher; callers must serialize access."""
+    """Sequential, memoizing matcher; callers must serialize access.
+
+    ``run_step`` changes the state only after the local solve succeeds, so
+    a step that raises leaves the engine exactly as it was before the call.
+    """
 
     def __init__(
         self,
@@ -80,12 +85,20 @@ class EngineState:
         self.h = h
         self.max_ball_size = max_ball_size
         self.step = 0
-        self.removed_left: set[int] = set()
-        self.removed_right: set[int] = set()
         self.stars: dict[int, tuple[int, ...]] = {}
         self.inverse: dict[int, int] = {}
         self.next_left = 0
         self.next_right = 0
+
+    @property
+    def removed_left(self) -> KeysView[int]:
+        """The matched left indices (a read-only view of ``stars``)."""
+        return self.stars.keys()
+
+    @property
+    def removed_right(self) -> KeysView[int]:
+        """The matched right indices (a read-only view of ``inverse``)."""
+        return self.inverse.keys()
 
     # -- witness bookkeeping ----------------------------------------------
 
@@ -126,10 +139,6 @@ class EngineState:
             i = self._scan(side)
         if i is None:
             raise EngineExhausted(f"{self.oracle.name}: all vertices matched")
-        if side is Side.LEFT:
-            self.next_left = i + 1
-        else:
-            self.next_right = i + 1
         return Vertex(side, i)
 
     def run_step(self) -> tuple[int, tuple[int, ...]]:
@@ -158,10 +167,12 @@ class EngineState:
             )
         a, star = result
         self.stars[a] = star
-        self.removed_left.add(a)
         for b in star:
             self.inverse[b] = a
-            self.removed_right.add(b)
+        if pivot.side is Side.LEFT:
+            self.next_left = pivot.index + 1
+        else:
+            self.next_right = pivot.index + 1
         self.step += 1
         return a, star
 

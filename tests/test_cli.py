@@ -207,6 +207,28 @@ def test_verify_matching_rejects_tampered(capsys, tmp_path, k12_file):
     assert out.startswith("FAIL")
 
 
+def test_verify_matching_rejects_repeated_left(capsys, tmp_path):
+    gfile = tmp_path / "g.bg"
+    gfile.write_text("A 0: 0 1\nA 1: 2 3\n")
+    mfile = tmp_path / "m.txt"
+    mfile.write_text("0 -> 2 3\n0 -> 0 1\n1 -> 2 3\n")
+    code, out, err = run(
+        capsys,
+        "verify",
+        "--what",
+        "matching",
+        "--file",
+        str(gfile),
+        "--k",
+        "2",
+        "--matching",
+        str(mfile),
+    )
+    assert code == 2
+    assert out == ""
+    assert "left index 0" in err
+
+
 # -- wbt -------------------------------------------------------------------------
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallharem.errors import (
-    DisjointnessViolation,
     EmptySetError,
     RankMismatch,
     SizeGuardError,
@@ -14,24 +13,18 @@ from hallharem.group_kit import (
     OVER_CAP,
     Enumeration,
     GeneratorSet,
-    PartialBijection,
     Word,
     act,
     ball,
-    compose_pb,
     d_r,
     enumeration,
     folner_search,
     identity,
-    identity_pb,
     inv,
-    invert_pb,
     is_folner,
     mul,
     parse_word,
-    piecewise_pb,
     reduce,
-    restrict_pb,
     wbt_free,
 )
 
@@ -240,66 +233,6 @@ def test_generator_set_power():
     assert len(r.power(2).elements) == 5  # e, a, A, aa, AA
     r2_ = GeneratorSet.standard(2)
     assert len(r2_.power(2).elements) == 17
-
-
-# -- partial bijections -------------------------------------------------------------
-
-
-def shift_pb(offset, domain=lambda n: True):
-    return PartialBijection(
-        domain_test=domain,
-        map=lambda n: n + offset,
-        inverse_map=lambda n: n - offset,
-        range_test=lambda n: domain(n - offset),
-        displacement_bound=abs(offset),
-    )
-
-
-def test_compose_with_identity():
-    p = shift_pb(3)
-    q = compose_pb(p, identity_pb())
-    for n in range(100):
-        assert q.map(n) == p.map(n)
-        assert q.inverse_map(n) == p.inverse_map(n)
-    assert q.displacement_bound == 3
-
-
-def test_invert_twice():
-    p = shift_pb(2)
-    q = invert_pb(invert_pb(p))
-    for n in range(100):
-        assert q.map(n) == p.map(n)
-        assert q.domain_test(n) == p.domain_test(n)
-
-
-def test_restrict():
-    p = restrict_pb(shift_pb(1), lambda n: n % 2 == 0)
-    assert p.domain_test(4) and not p.domain_test(3)
-    assert p.range_test(5) and not p.range_test(4)
-
-
-def test_piecewise_translations():
-    evens = shift_pb(2, domain=lambda n: n % 2 == 0)
-    odds = shift_pb(4, domain=lambda n: n % 2 == 1)
-    p = piecewise_pb([evens, odds])
-    for n in range(50):
-        expected = n + 2 if n % 2 == 0 else n + 4
-        assert p.map(n) == expected
-        assert p.inverse_map(expected) == n
-    assert p.displacement_bound == 4
-
-
-def test_piecewise_overlap_detected():
-    p = piecewise_pb([shift_pb(1), shift_pb(2)])
-    with pytest.raises(DisjointnessViolation):
-        p.map(0)
-
-
-def test_roundtrip_invariant_on_window():
-    p = shift_pb(5, domain=lambda n: n < 40)
-    for n in range(40):
-        assert p.range_test(p.map(n))
-        assert p.inverse_map(p.map(n)) == n
 
 
 # -- boundary ratio tests -------------------------------------------------------------

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from hallharem.core_graph import FiniteBipartiteGraph, Side
-from hallharem.errors import WitnessRefuted, EngineExhausted, WitnessError
+from hallharem.decomposition import ParadoxDecomp, tight_spec
+from hallharem.errors import BallBudgetExceeded, WitnessRefuted, EngineExhausted, WitnessError
 from hallharem.flow_matching import (
     MatchingRequest,
     check_expanding_hall_witness,
@@ -12,6 +13,7 @@ from hallharem.flow_matching import (
     verify_matching,
 )
 from hallharem.harem_engine import (
+    DEFAULT_MAX_BALL,
     EngineState,
     HWitness,
     identity_witness,
@@ -126,6 +128,37 @@ def test_witness_refuted_on_starved_graph():
     g, eng = engine_for({0: (0,)}, k=2)
     with pytest.raises(WitnessRefuted):
         eng.run_step()
+
+
+def engine_state(eng):
+    return eng.committed_prefix(), eng.next_left, eng.next_right
+
+
+def test_budget_failure_leaves_state_unchanged():
+    # a caught budget error must not skip the pivot: the retry commits the
+    # same star as a fresh run
+    eng = ParadoxDecomp(tight_spec(2), max_ball_size=100).engine
+    before = engine_state(eng)
+    with pytest.raises(BallBudgetExceeded):
+        eng.run_step()
+    assert engine_state(eng) == before
+    eng.max_ball_size = DEFAULT_MAX_BALL
+    assert eng.run_step() == (0, (0, 1))
+
+
+def test_refuted_step_leaves_state_unchanged():
+    # no (1,2)-matching exists, so every witness is invalid: step 1 fails at
+    # R2, and fails there again when retried
+    g, eng = engine_for({0: (0, 1), 1: (2,)})
+    eng.run_step()
+    before = engine_state(eng)
+    with pytest.raises(WitnessRefuted) as first:
+        eng.run_step()
+    assert engine_state(eng) == before
+    with pytest.raises(WitnessRefuted) as again:
+        eng.run_step()
+    assert str(again.value) == str(first.value)
+    assert "around R2 at step 1" in str(first.value)
 
 
 def test_engine_exhausted():
