@@ -159,6 +159,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for v in report.violations:
             print(f"  {v}")
         return 1
+    if args.window_size < 1:
+        raise ValueError(f"--window must be >= 1, got {args.window_size}")
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     if args.classic:
         classic = decomposition.ClassicF2Decomp()
         classify_a = classic.a_member

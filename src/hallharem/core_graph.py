@@ -7,10 +7,10 @@ so matchings extracted from local subgraphs are stated in global indices.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import lt
 from typing import Callable, Iterable, Mapping
 
 from .errors import BallBudgetExceeded, OracleError, ParityError, ParseError
@@ -182,48 +182,59 @@ def extract_ball(
     if pivot.index in rm_home:
         raise ValueError(f"pivot {pivot!r} is a removed vertex")
 
-    dist: dict[tuple[Side, int], int] = {(pivot.side, pivot.index): 0}
-    queried: dict[tuple[Side, int], tuple[int, ...]] = {}
-    queue: deque[tuple[Side, int, int]] = deque([(pivot.side, pivot.index, 0)])
-    while queue:
-        side, i, d = queue.popleft()
-        if d == radius:
-            continue
-        nbrs = oracle.neighbors(Vertex(side, i))
-        if any(x >= y for x, y in zip(nbrs, nbrs[1:])):
-            raise OracleError(f"{oracle.name}: neighbors({side.value}{i}) not strictly sorted")
-        queried[(side, i)] = nbrs
+    # Per side, every ball vertex maps to its row once queried, else None.
+    # levels[d] lists the vertices at distance d in the order they were
+    # found, which is also the order the vertices of level d are queried.
+    rows: dict[Side, dict[int, tuple[int, ...] | None]] = {
+        Side.LEFT: {},
+        Side.RIGHT: {},
+    }
+    rows[pivot.side][pivot.index] = None
+    levels = [[pivot.index]]
+    size = 1
+    side = pivot.side
+    for _ in range(radius):
         other = side.opposite()
+        mine, theirs = rows[side], rows[other]
         skip = rm_left if other is Side.LEFT else rm_right
-        for j in nbrs:
-            if j in skip or (other, j) in dist:
-                continue
-            dist[(other, j)] = d + 1
-            if max_vertices is not None and len(dist) > max_vertices:
-                raise BallBudgetExceeded(
-                    f"ball around {pivot!r} exceeds {max_vertices} vertices"
-                )
-            queue.append((other, j, d + 1))
+        found: list[int] = []
+        for i in levels[-1]:
+            nbrs = oracle.neighbors(Vertex(side, i))
+            if not all(map(lt, nbrs, nbrs[1:])):
+                raise OracleError(f"{oracle.name}: neighbors({side.value}{i}) not strictly sorted")
+            mine[i] = nbrs
+            for j in nbrs:
+                if j in skip or j in theirs:
+                    continue
+                theirs[j] = None
+                size += 1
+                if max_vertices is not None and size > max_vertices:
+                    raise BallBudgetExceeded(
+                        f"ball around {pivot!r} exceeds {max_vertices} vertices"
+                    )
+                found.append(j)
+        levels.append(found)
+        side = other
 
-    for (side, i), nbrs in queried.items():
-        other = side.opposite()
-        for j in nbrs:
-            back = queried.get((other, j))
-            if back is not None and i not in back:
-                pair = (i, j) if side is Side.LEFT else (j, i)
-                raise OracleError(f"{oracle.name}: asymmetric edge at {pair}")
+    side = pivot.side
+    for level in levels[:radius]:
+        mine, theirs = rows[side], rows[side.opposite()]
+        for i in level:
+            for j in mine[i]:
+                back = theirs.get(j)
+                if back is not None and i not in back:
+                    pair = (i, j) if side is Side.LEFT else (j, i)
+                    raise OracleError(f"{oracle.name}: asymmetric edge at {pair}")
+        side = side.opposite()
 
-    left_ids = tuple(sorted(i for (s, i) in dist if s is Side.LEFT))
-    right_set = {i for (s, i) in dist if s is Side.RIGHT}
-    right_ids = tuple(sorted(right_set))
+    lefts, rights = rows[Side.LEFT], rows[Side.RIGHT]
+    left_ids = tuple(sorted(lefts))
+    right_ids = tuple(sorted(rights))
     # Every left vertex of the ball is strictly inside, so its full residual
     # neighborhood was queried; restrict it to the ball's right vertices.
-    adjacency = {
-        a: tuple(j for j in queried[(Side.LEFT, a)] if j in right_set)
-        for a in left_ids
-    }
+    adjacency = {a: tuple(j for j in lefts[a] if j in rights) for a in left_ids}
     graph = FiniteBipartiteGraph(left_ids, right_ids, adjacency)
-    shell = frozenset(j for j in right_ids if dist[(Side.RIGHT, j)] == radius)
+    shell = frozenset(levels[radius])
     return BallSubgraph(graph=graph, pivot=pivot, radius=radius, shell_right=shell)
 
 
@@ -306,7 +317,7 @@ def dump_bg(graph: FiniteBipartiteGraph, k: int | None = None) -> str:
 
 
 def _check_sorted_unique(seq: tuple[int, ...], label: str) -> None:
-    if any(x >= y for x, y in zip(seq, seq[1:])):
+    if not all(map(lt, seq, seq[1:])):
         raise ValueError(f"{label} must be strictly increasing")
-    if any(x < 0 for x in seq):
+    if seq and seq[0] < 0:  # sorted, so the least entry comes first
         raise ValueError(f"{label} must be non-negative")

@@ -147,6 +147,7 @@ class ParadoxDecomp:
 
 _TRUNK = "trunk"
 _WA, _WAI, _WB, _WBI = "W(a)", "W(A)", "W(b)", "W(B)"
+_PIECES = {1: _WA, -1: _WAI, 2: _WB, -2: _WBI}
 
 
 class ClassicF2Decomp:
@@ -166,18 +167,13 @@ class ClassicF2Decomp:
         self._id = identity(2)
         self._a_inv = Word(2, (-1,))
         self._b_inv = Word(2, (-2,))
-        self._pieces: dict[int, str] = {}
 
     def piece(self, m: int) -> str:
-        got = self._pieces.get(m)
-        if got is None:
-            w = self._enum.index_to_word(m)
-            if all(l == -1 for l in w.letters):
-                got = _TRUNK
-            else:
-                got = {1: _WA, -1: _WAI, 2: _WB, -2: _WBI}[w.letters[0]]
-            self._pieces[m] = got
-        return got
+        first, tail = self._enum.head(m)
+        # A^n is the word whose later letters are each the least allowed: A.
+        if first == 0 or (first == -1 and tail == 0):
+            return _TRUNK
+        return _PIECES[first]
 
     def in_adjusted_wa(self, m: int) -> bool:
         return self.piece(m) in (_WA, _TRUNK)

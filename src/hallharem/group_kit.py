@@ -7,6 +7,15 @@ both directions.  Left multiplication by a fixed word then acts on indices
 as a computable permutation, which is what the matching machinery and the
 decomposition layer consume.
 
+An index of length L reads as a level offset plus base-q digits, q = 2m-1:
+the first digit picks any of the 2m letters, each later one picks among the
+q letters that do not cancel its predecessor.  Left multiplication by one
+letter either prepends it (one new leading digit, the old leading digit
+re-read against the new letter) or cancels the first letter (the second
+digit re-read as a leading one), so it needs the length, at most two
+digits and one level offset, never the whole word.  A word acts as the
+right-to-left fold of its letters.
+
 Also here: the step metric generated by a symmetric word set, exact
 boundary-ratio tests used by the amenability searches, and the
 commutation test deciding which finite word sets witness paradoxicality
@@ -16,6 +25,7 @@ in a free group.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -109,11 +119,19 @@ class Enumeration:
         self.rank = rank
         self.q = 2 * rank - 1  # choices per letter after the first
         self._cum = [1]  # number of words of length < L+1, starting at L=0
+        self._pow = [1]  # q ** L, as far as _cum reaches
 
     def _extend_cum(self, length: int) -> None:
         while len(self._cum) <= length:
-            level = len(self._cum)
-            self._cum.append(self._cum[-1] + 2 * self.rank * self.q ** (level - 1))
+            self._cum.append(self._cum[-1] + 2 * self.rank * self._pow[-1])
+            self._pow.append(self._pow[-1] * self.q)
+
+    def _length(self, n: int) -> int:
+        """Length of the word with index n >= 0."""
+        cum = self._cum
+        while cum[-1] <= n:
+            self._extend_cum(len(cum))
+        return bisect_right(cum, n)
 
     @staticmethod
     def _pos(letter: int) -> int:
@@ -130,12 +148,12 @@ class Enumeration:
         if length == 0:
             return 0
         self._extend_cum(length)
-        rank_in_level = self._pos(w.letters[0]) * self.q ** (length - 1)
+        rank_in_level = self._pos(w.letters[0]) * self._pow[length - 1]
         for i in range(1, length):
             banned = self._pos(-w.letters[i - 1])
             p = self._pos(w.letters[i])
             r = p if p < banned else p - 1
-            rank_in_level += r * self.q ** (length - 1 - i)
+            rank_in_level += r * self._pow[length - 1 - i]
         return self._cum[length - 1] + rank_in_level
 
     def index_to_word(self, n: int) -> Word:
@@ -143,20 +161,49 @@ class Enumeration:
             raise ValueError("index must be >= 0")
         if n == 0:
             return identity(self.rank)
-        length = 1
-        self._extend_cum(length)
-        while n >= self._cum[length]:
-            length += 1
-            self._extend_cum(length)
-        r = n - self._cum[length - 1]
-        first, r = divmod(r, self.q ** (length - 1))
+        length = self._length(n)
+        first, r = divmod(n - self._cum[length - 1], self._pow[length - 1])
         letters = [self._letter(first)]
         for i in range(1, length):
-            d, r = divmod(r, self.q ** (length - 1 - i))
+            d, r = divmod(r, self._pow[length - 1 - i])
             banned = self._pos(-letters[-1])
             p = d if d < banned else d + 1
             letters.append(self._letter(p))
         return Word(self.rank, tuple(letters))
+
+    def head(self, n: int) -> tuple[int, int]:
+        """The first letter of word n (0 for the empty word) and the value of
+        its later digits; the tail is 0 iff every later letter is the least
+        one allowed after its predecessor."""
+        if n < 0:
+            raise ValueError("index must be >= 0")
+        if n == 0:
+            return 0, 0
+        length = self._length(n)
+        first, tail = divmod(n - self._cum[length - 1], self._pow[length - 1])
+        return self._letter(first), tail
+
+    def act_letter(self, letter: int, n: int) -> int:
+        """Index of letter·w for the word w with index n."""
+        if n < 0:
+            raise ValueError("index must be >= 0")
+        p = 2 * (letter - 1) if letter > 0 else -2 * letter - 1  # _pos, inlined
+        if n == 0:
+            return 1 + p
+        cum = self._cum
+        length = bisect_right(cum, n) if n < cum[-1] else self._length(n)
+        span = self._pow[length - 1]
+        first, tail = divmod(n - cum[length - 1], span)
+        cancel = p + 1 if p % 2 == 0 else p - 1  # the position of -letter
+        if first == cancel:
+            if length == 1:
+                return 0
+            span = self._pow[length - 2]
+            second, tail = divmod(tail, span)
+            return cum[length - 2] + (second if second < p else second + 1) * span + tail
+        if first > cancel:
+            first -= 1
+        return cum[length] + (p * self.q + first) * span + tail
 
 
 _ENUMS: dict[int, Enumeration] = {}
@@ -170,8 +217,12 @@ def enumeration(rank: int) -> Enumeration:
 
 def act(w: Word, n: int) -> int:
     """Left multiplication by w, as a permutation of word indices."""
-    e = enumeration(w.rank)
-    return e.word_to_index(mul(w, e.index_to_word(n)))
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    e = _ENUMS.get(w.rank) or enumeration(w.rank)
+    for letter in reversed(w.letters):
+        n = e.act_letter(letter, n)
+    return n
 
 
 @dataclass(frozen=True)
@@ -222,11 +273,7 @@ class GeneratorSet:
         e = enumeration(self.rank)
         current = {e.word_to_index(w) for w in self.elements}
         for _ in range(n - 1):
-            current = {
-                e.word_to_index(mul(x, e.index_to_word(i)))
-                for x in self.elements
-                for i in current
-            }
+            current = {act(x, i) for x in self.elements for i in current}
         return GeneratorSet(
             self.rank, tuple(e.index_to_word(i) for i in sorted(current))
         )

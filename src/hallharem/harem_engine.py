@@ -178,6 +178,8 @@ class EngineState:
 
     def match_left(self, i: int) -> tuple[int, ...]:
         """The k partners of left vertex i, running steps as needed."""
+        if i < 0:
+            raise ValueError(f"left vertex must be >= 0, got {i}")
         support = self.oracle.left_support
         if support is not None and i not in support:
             raise ValueError(f"left vertex {i} is not in the oracle support")
@@ -187,6 +189,8 @@ class EngineState:
 
     def match_right(self, j: int) -> int:
         """The unique partner of right vertex j, running steps as needed."""
+        if j < 0:
+            raise ValueError(f"right vertex must be >= 0, got {j}")
         support = self.oracle.right_support
         if support is not None and j not in support:
             raise ValueError(f"right vertex {j} is not in the oracle support")

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from hallharem.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 K12_BG = "k 2\nA 0: 0 1\n"
 PIGEON_BG = "A 0: 0\nA 1: 0\n"
@@ -90,6 +97,15 @@ def test_lazy_ball_budget(capsys):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("side", ["--left", "--right"])
+def test_lazy_f2_negative_index(capsys, side):
+    # Rejected before any step runs: a step would trip the budget (exit 1).
+    code, out, err = run(capsys, "lazy", "--graph", "f2", side, "-1", "--max-ball", "10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_lazy_witness_refuted(capsys, tmp_path):
     p = tmp_path / "starved.bg"
     p.write_text("A 0: 0\n")
@@ -169,6 +185,22 @@ def test_verify_engine_decomposition(capsys):
     code, out, _ = run(capsys, "verify", "--what", "decomposition", "--steps", "2")
     assert code == 0
     assert out == "PASS (2 indices)\n"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--classic", "--window", "0"),
+        ("--classic", "--window", "-5"),
+        ("--steps", "0"),
+        ("--steps", "-1"),
+    ],
+)
+def test_verify_decomposition_rejects_empty_check(capsys, flags):
+    code, out, err = run(capsys, "verify", "--what", "decomposition", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_verify_matching_of_finite_output(capsys, tmp_path, k12_file):
@@ -288,3 +320,35 @@ def test_folner_guard_exceeded(capsys):
 def test_unknown_flag_rejected(capsys):
     code, _, _ = run(capsys, "wbt", "--rank", "2", "--set", "a,b", "--bogus")
     assert code == 2
+
+
+# -- golden output ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, argv, code",
+    [
+        ("lazy_f2_left_0", ["lazy", "--graph", "f2", "--left", "0"], 0),
+        ("lazy_f2_right_2", ["lazy", "--graph", "f2", "--right", "2"], 0),
+        (
+            "lazy_f2_left_0_corollary",
+            ["lazy", "--graph", "f2", "--left", "0", "--mode", "corollary"],
+            0,
+        ),
+        ("verify_decomposition_steps_2", ["verify", "--what", "decomposition", "--steps", "2"], 0),
+        ("decompose_classic_0_40", ["decompose", "--window", "0..40", "--classic"], 0),
+    ],
+)
+def test_cli_golden_stdout(name, argv, code):
+    """The exact stdout bytes and exit code, run as a separate process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hallharem.cli", *argv],
+        capture_output=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == (GOLDEN / f"{name}.out").read_bytes()

@@ -167,6 +167,92 @@ def test_act_of_generator_on_identity():
     assert act(w2("a"), 0) == enumeration(2).word_to_index(w2("a"))
 
 
+def word_level_act(w, n):
+    """Left multiplication spelled out on words: the reference for act."""
+    e = enumeration(w.rank)
+    return e.word_to_index(mul(w, e.index_to_word(n)))
+
+
+def level_starts(rank, max_len):
+    """Index of the first word of each length 0..max_len+1 (1 + 2r + 2rq + ...)."""
+    q = 2 * rank - 1
+    starts = [0, 1]
+    for length in range(1, max_len + 1):
+        starts.append(starts[-1] + 2 * rank * q ** (length - 1))
+    return starts
+
+
+# Rank 1 has 2 words per level, so index n is a word of length about n/2:
+# past a few thousand the word-level reference gets slow, and near 10**15 it
+# cannot build the word at all.
+BIG_INDICES = (10**15, 10**15 + 1, 3**40 - 1, 3**40, 10**30 + 7)
+
+
+def fixed_indices(rank):
+    """The indices on both sides of every level boundary up to length 12,
+    and for ranks above 1 a few indices >= 10**15."""
+    out = set(BIG_INDICES) if rank > 1 else set()
+    for start in level_starts(rank, 12)[1:]:
+        out.update((start - 1, start, start + 1))
+    return sorted(out)
+
+
+def reduced_words(rank, max_len=6):
+    letter = st.integers(-rank, rank).filter(lambda l: l != 0)
+    return st.lists(letter, max_size=max_len).map(lambda ls: reduce(rank, ls))
+
+
+def indices(rank):
+    small = st.integers(0, 10**6 if rank > 1 else 2000)
+    return st.one_of(small, st.sampled_from(fixed_indices(rank)))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_act_matches_word_level_reference(rank, data):
+    w = data.draw(reduced_words(rank))
+    n = data.draw(indices(rank))
+    assert act(w, n) == word_level_act(w, n)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_act_letter_at_level_boundaries(rank):
+    e = Enumeration(rank)
+    for g in range(1, rank + 1):
+        for letter in (g, -g):
+            for n in fixed_indices(rank):
+                assert e.act_letter(letter, n) == word_level_act(Word(rank, (letter,)), n)
+
+
+def test_act_letter_exhaustive_window():
+    e = enumeration(2)
+    for n in range(3000):
+        for letter in (1, -1, 2, -2):
+            assert e.act_letter(letter, n) == word_level_act(Word(2, (letter,)), n)
+
+
+def test_act_rejects_negative_index():
+    for w in (identity(2), w2("a"), w2("abA")):
+        with pytest.raises(ValueError):
+            act(w, -1)
+    with pytest.raises(ValueError):
+        enumeration(2).act_letter(1, -1)
+
+
+def test_head_reads_first_letter_and_tail():
+    e = enumeration(2)
+    assert e.head(0) == (0, 0)
+    for n in range(1, 2000):
+        letters = e.index_to_word(n).letters
+        # The least letter allowed after a or A is the letter itself, and a
+        # after b or B; the tail is 0 iff that choice is made at every place.
+        least = -1 if letters[0] == -1 else 1
+        first, tail = e.head(n)
+        assert first == letters[0]
+        assert (tail == 0) == (letters[1:] == (least,) * (len(letters) - 1))
+
+
 def test_act_injective_into_larger_ball():
     r = GeneratorSet.standard(2)
     w = w2("ab")

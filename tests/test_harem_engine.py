@@ -124,6 +124,17 @@ def test_out_of_support_query_rejected():
         eng.match_left(5)
 
 
+def test_negative_query_fails_fast():
+    # On F2 a negative index is never matched; with a 10-vertex budget any
+    # step would raise BallBudgetExceeded instead of ValueError.
+    eng = ParadoxDecomp(tight_spec(2), max_ball_size=10).engine
+    with pytest.raises(ValueError):
+        eng.match_left(-1)
+    with pytest.raises(ValueError):
+        eng.match_right(-1)
+    assert eng.step == 0 and not eng.stars
+
+
 def test_witness_refuted_on_starved_graph():
     g, eng = engine_for({0: (0,)}, k=2)
     with pytest.raises(WitnessRefuted):
