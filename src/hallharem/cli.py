@@ -241,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lazy)
 
     p = sub.add_parser("decompose", help="dump a decomposition window as TSV")
-    p.add_argument("--group", choices=["f2"], default="f2")
     p.add_argument("--window", required=True, help="half-open range, e.g. 0..100")
     p.add_argument("--out", default="-")
     p.add_argument("--classic", action="store_true")

@@ -1,9 +1,8 @@
 """Finite perfect-(1,k)-matching problems with required/optional coverage.
 
-A request asks that every required left vertex receive exactly k partners,
-every required right vertex exactly one, optional right vertices at most
-one, and unlisted right vertices none; left vertices outside the required
-set may take up to k partners.  Solving reduces to a circulation with lower
+A request asks that every left vertex receive exactly k partners, and that
+every right vertex be either required (covered exactly once) or optional
+(covered at most once).  Solving reduces to a circulation with lower
 bounds, found by breadth-first augmentation and then rewritten to the
 canonical (lexicographically least) star map so results are reproducible.
 
@@ -43,13 +42,14 @@ class MatchingRequest:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not self.required_left <= set(self.graph.left_ids):
-            raise ValueError("required_left must be a subset of left_ids")
+        if self.required_left != set(self.graph.left_ids):
+            raise ValueError("required_left must be every left id")
         if self.required_right & self.optional_right:
             raise ValueError("required_right and optional_right must be disjoint")
-        listed = self.required_right | self.optional_right
-        if not listed <= set(self.graph.right_ids):
-            raise ValueError("listed right vertices must be a subset of right_ids")
+        if self.required_right | self.optional_right != set(self.graph.right_ids):
+            raise ValueError(
+                "required_right and optional_right must together be every right id"
+            )
 
     @staticmethod
     def all_required(graph: FiniteBipartiteGraph, k: int) -> "MatchingRequest":
@@ -66,9 +66,11 @@ class MatchingRequest:
 class HaremMatching:
     """A star map: left index -> sorted tuple of its partners.
 
-    Required left vertices carry exactly k partners; left vertices outside
-    the required set may carry fewer.  Each right index appears in at most
-    one star, so the right-to-left ``inverse`` map is well defined.
+    A solved request gives every left vertex exactly k partners, every
+    required right vertex one star and every optional right vertex at most
+    one; ``verify_matching`` checks any star map against a request.  Each
+    right index appears in at most one star, so the right-to-left
+    ``inverse`` map is well defined.
     """
 
     stars: dict[int, tuple[int, ...]]
@@ -107,32 +109,27 @@ class _Solver:
 
     The witness matching (``cover``/``counts``) is some feasible solution,
     updated in place by residual-path reroutes; ``pins`` accumulate the
-    final canonical answer and are never undone, while ``dead`` edges are
-    excluded forever.
+    final canonical answer and are never undone.  A pinned edge never
+    leaves the witness, so ``pinned_cover`` also names the witness edges
+    the residual search may not remove.
     """
 
     def __init__(self, req: MatchingRequest):
         self.req = req
         self.k = req.k
         g = req.graph
-        listed = req.required_right | req.optional_right
         self.lefts = g.left_ids
-        self.cand: dict[int, tuple[int, ...]] = {
-            a: tuple(b for b in g.adjacency.get(a, ()) if b in listed)
-            for a in g.left_ids
-        }
-        self.required_left = req.required_left
+        self.cand = g.adjacency
         self.required_right = req.required_right
         self.cover: dict[int, int] = {}
         self.counts: dict[int, int] = {a: 0 for a in g.left_ids}
         self.total = 0
-        self.spare: set[int] = {a for a in g.left_ids if self.cand[a]}
+        # prepare() rejects a left with fewer than k candidates before any
+        # search, so every left starts with room for another partner.
+        self.spare: set[int] = set(g.left_ids)
         self.unsinkable: set[int] = set()
-        self.pinned: set[tuple[int, int]] = set()
         self.pins: dict[int, list[int]] = {}
         self.pinned_cover: dict[int, int] = {}
-        self.dead: set[tuple[int, int]] = set()
-        self.need_left = len(req.required_left)
         self.need_right = len(req.required_right)
 
     # -- feasibility ------------------------------------------------------
@@ -142,8 +139,8 @@ class _Solver:
         req = self.req
         if len(req.required_right) > self.k * len(self.lefts):
             return False
-        for a in sorted(req.required_left):
-            if len(self.cand[a]) < self.k:
+        for a in self.lefts:
+            if len(self.cand.get(a, ())) < self.k:
                 return False
         rdeg: dict[int, int] = {b: 0 for b in req.required_right}
         for a in self.lefts:
@@ -152,7 +149,7 @@ class _Solver:
                     rdeg[b] += 1
         if any(d == 0 for d in rdeg.values()):
             return False
-        for a in sorted(req.required_left):
+        for a in self.lefts:
             while self.counts[a] < self.k:
                 if not self._augment(2 * a, _SNK):
                     return False
@@ -164,9 +161,6 @@ class _Solver:
 
     # -- residual search --------------------------------------------------
 
-    def _lower(self, a: int) -> int:
-        return self.k if a in self.required_left else 0
-
     def _bfs(self, start: int, target: int) -> list[tuple[str, int, int]] | None:
         """Residual path from start to target; returns the edge mutations
         ('add'/'rm', left, right) along it, or None if unreachable."""
@@ -177,9 +171,7 @@ class _Solver:
             return []
         queue: deque[int] = deque((start,))
         cover = self.cover
-        counts = self.counts
-        pinned = self.pinned
-        dead = self.dead
+        pinned_cover = self.pinned_cover
         while queue:
             u = queue.popleft()
             if u == _SRC:
@@ -210,14 +202,9 @@ class _Solver:
                         queue.append(v)
             elif u % 2 == 0:  # left vertex
                 a = u // 2
-                if _SRC not in parent and counts[a] > self._lower(a):
-                    if _SRC == target:
-                        return self._path(parent, u, None)
-                    parent[_SRC] = (u, None)
-                    queue.append(_SRC)
                 for b in self.cand[a]:
                     v = 2 * b + 1
-                    if v in parent or cover.get(b) == a or (a, b) in dead:
+                    if v in parent or cover.get(b) == a:
                         continue
                     op = ("add", a, b)
                     if v == target:
@@ -229,7 +216,7 @@ class _Solver:
                 a2 = cover.get(b)
                 if a2 is not None:
                     v = 2 * a2
-                    if v not in parent and (a2, b) not in pinned:
+                    if v not in parent and b not in pinned_cover:
                         op = ("rm", a2, b)
                         if v == target:
                             return self._path(parent, u, op)
@@ -276,10 +263,6 @@ class _Solver:
                 if b not in self.required_right:
                     self.unsinkable.add(b)
 
-    def _undo(self, ops: list[tuple[str, int, int]]) -> None:
-        inverse = [("rm" if kind == "add" else "add", a, b) for kind, a, b in ops]
-        self._apply(inverse)
-
     def _augment(self, start: int, target: int) -> bool:
         ops = self._bfs(start, target)
         if ops is None:
@@ -288,16 +271,6 @@ class _Solver:
         return True
 
     # -- canonicalization -------------------------------------------------
-
-    def _pin(self, a: int, b: int) -> None:
-        self.pinned.add((a, b))
-        row = self.pins.setdefault(a, [])
-        row.append(b)
-        self.pinned_cover[b] = a
-        if a in self.required_left and len(row) == self.k:
-            self.need_left -= 1
-        if b in self.required_right:
-            self.need_right -= 1
 
     def _force(self, a: int, b: int) -> bool:
         """Try to reroute the witness so edge (a, b) joins it."""
@@ -308,81 +281,26 @@ class _Solver:
         self._apply([("add", a, b)])
         return True
 
-    def _try_close(self, a: int) -> bool:
-        """Try to finish a non-required left vertex with its current pins."""
-        rest = [
-            b
-            for b in self.cand[a]
-            if (a, b) not in self.pinned and (a, b) not in self.dead
-        ]
-        if not rest:
-            return True
-        self.dead.update((a, b) for b in rest)
-        journal: list[list[tuple[str, int, int]]] = []
-        for b in rest:
-            if self.cover.get(b) != a:
-                continue
-            drop = [("rm", a, b)]
-            self._apply(drop)
-            journal.append(drop)
-            if b in self.required_right:
-                ops = self._bfs(_SRC, 2 * b + 1)
-                if ops is None:
-                    for done in reversed(journal):
-                        self._undo(done)
-                    self.dead.difference_update((a, bb) for bb in rest)
-                    return False
-                self._apply(ops)
-                journal.append(ops)
-        return True
-
     def _process_left(self, a: int) -> None:
-        row = self.pins.get(a, [])
-        if a in self.required_left:
-            for b in self.cand[a]:
-                e = (a, b)
-                if e in self.dead or e in self.pinned:
-                    continue
-                if len(row) == self.k or b in self.pinned_cover:
-                    self.dead.add(e)
-                    continue
-                if self.cover.get(b) == a or self._force(a, b):
-                    self._pin(a, b)
-                    row = self.pins[a]
-                else:
-                    self.dead.add(e)
-            if len(self.pins.get(a, ())) != self.k:
-                raise InternalError(f"required left {a} ended under-matched")
-            return
-        while True:
-            if len(row) == self.k or self._try_close(a):
-                return
-            pinned_one = False
-            for b in self.cand[a]:
-                e = (a, b)
-                if e in self.dead or e in self.pinned:
-                    continue
-                if b in self.pinned_cover:
-                    self.dead.add(e)
-                    continue
-                if self.cover.get(b) == a or self._force(a, b):
-                    self._pin(a, b)
-                    row = self.pins[a]
-                    pinned_one = True
-                else:
-                    self.dead.add(e)
+        """Pin the k least candidates of a that the witness can take."""
+        row = self.pins[a] = []
+        for b in self.cand[a]:
+            if len(row) == self.k:
                 break
-            if not pinned_one and all(
-                (a, b) in self.dead or (a, b) in self.pinned for b in self.cand[a]
-            ):
-                return
+            if b in self.pinned_cover:
+                continue
+            if self.cover.get(b) == a or self._force(a, b):
+                row.append(b)
+                self.pinned_cover[b] = a
+                if b in self.required_right:
+                    self.need_right -= 1
+        if len(row) != self.k:
+            raise InternalError(f"left {a} ended under-matched")
 
     def greedy(self, stop: Vertex | None) -> tuple[int, tuple[int, ...]] | None:
         """Run the canonical pass; with ``stop`` set, halt as soon as the
         star relevant to that pivot is fully decided and return it."""
         for a in self.lefts:
-            if stop is None and self.need_left == 0 and self.need_right == 0:
-                break
             self._process_left(a)
             if stop is None:
                 continue
@@ -394,13 +312,13 @@ class _Solver:
                     return a1, tuple(self.pins[a1])
         if stop is not None:
             raise InternalError(f"pivot {stop!r} never matched by the greedy pass")
-        if self.need_left != 0 or self.need_right != 0:
+        if self.need_right != 0:
             raise InternalError("greedy pass ended with unmet requirements")
         return None
 
     def matching(self) -> HaremMatching:
         return HaremMatching(
-            stars={a: tuple(row) for a, row in sorted(self.pins.items()) if row}
+            stars={a: tuple(row) for a, row in sorted(self.pins.items())}
         )
 
 
@@ -408,9 +326,8 @@ def solve_harem(req: MatchingRequest) -> HaremMatching | None:
     """Solve a request; returns the canonical matching, or None if infeasible.
 
     The canonical matching is the one whose per-left star tuples, read in
-    ascending left order with () for unmatched lefts, are lexicographically
-    least among all feasible matchings.  Two calls on equal requests return
-    identical results.
+    ascending left order, are lexicographically least among all feasible
+    matchings.  Two calls on equal requests return identical results.
     """
     solver = _Solver(req)
     if not solver.prepare():
@@ -441,27 +358,16 @@ def brute_force_harem(req: MatchingRequest) -> Iterator[HaremMatching]:
             f"brute force capped at {BRUTE_MAX_LEFT}x{BRUTE_MAX_RIGHT}, "
             f"got {len(g.left_ids)}x{len(g.right_ids)}"
         )
-    listed = req.required_right | req.optional_right
-    cand = {a: tuple(b for b in g.adjacency.get(a, ()) if b in listed) for a in g.left_ids}
     lefts = g.left_ids
-    k = req.k
-
-    def options(a: int, used: set[int]) -> list[tuple[int, ...]]:
-        avail = [b for b in cand[a] if b not in used]
-        if a in req.required_left:
-            return list(itertools.combinations(avail, k))
-        stars = [
-            c for size in range(k + 1) for c in itertools.combinations(avail, size)
-        ]
-        return sorted(stars)
 
     def rec(pos: int, used: set[int], acc: list[tuple[int, tuple[int, ...]]]):
         if pos == len(lefts):
             if req.required_right <= used:
-                yield HaremMatching(stars={a: star for a, star in acc if star})
+                yield HaremMatching(stars=dict(acc))
             return
         a = lefts[pos]
-        for star in options(a, used):
+        avail = [b for b in g.adjacency.get(a, ()) if b not in used]
+        for star in itertools.combinations(avail, req.k):
             used.update(star)
             acc.append((a, star))
             yield from rec(pos + 1, used, acc)

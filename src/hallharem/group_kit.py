@@ -278,9 +278,6 @@ class GeneratorSet:
             self.rank, tuple(e.index_to_word(i) for i in sorted(current))
         )
 
-    def max_length(self) -> int:
-        return max(len(w) for w in self.elements)
-
 
 class OverCap:
     """Sentinel: the distance exceeds the requested cap (possibly infinite)."""

@@ -80,6 +80,8 @@ class EngineState:
     ):
         if k < 1:
             raise ValueError("k must be >= 1")
+        if max_ball_size < 1:
+            raise ValueError(f"max_ball_size must be >= 1, got {max_ball_size}")
         self.oracle = oracle
         self.k = k
         self.h = h

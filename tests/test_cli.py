@@ -97,6 +97,15 @@ def test_lazy_ball_budget(capsys):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_lazy_nonpositive_max_ball(capsys, size):
+    # A usage error (exit 2), not a ball that outgrew its budget (exit 1).
+    code, out, err = run(capsys, "lazy", "--graph", "f2", "--left", "0", "--max-ball", size)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("side", ["--left", "--right"])
 def test_lazy_f2_negative_index(capsys, side):
     # Rejected before any step runs: a step would trip the budget (exit 1).

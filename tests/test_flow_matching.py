@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -109,34 +112,20 @@ def test_solve_star_matches_full_solve():
 
 def test_request_validation():
     g = k12()
+    lefts, rights = frozenset({0}), frozenset({0, 1})
     with pytest.raises(ValueError):
-        MatchingRequest(g, 0, frozenset(), frozenset(), frozenset())
+        MatchingRequest(g, 0, lefts, rights, frozenset())
     with pytest.raises(ValueError):
-        MatchingRequest(g, 1, frozenset({9}), frozenset(), frozenset())
+        MatchingRequest(g, 1, frozenset({9}), rights, frozenset())
     with pytest.raises(ValueError):
-        MatchingRequest(g, 1, frozenset(), frozenset({0}), frozenset({0}))
-
-
-def test_unlisted_rights_stay_unmatched():
-    g = graph({0: (0, 1, 2)})
-    req = MatchingRequest(g, 1, frozenset({0}), frozenset({2}), frozenset())
-    m = solve_harem(req)
-    assert m.stars == {0: (2,)}
-
-
-def test_non_required_lefts_left_empty_when_possible():
-    g = graph({0: (0,), 1: (0, 1)})
-    req = MatchingRequest(
-        g, 1, frozenset({1}), frozenset({1}), frozenset({0})
-    )
-    assert solve_harem(req).stars == {1: (1,)}
-
-
-def test_non_required_left_pressed_into_service():
-    # right 0 is required but only left 0 (non-required) can cover it
-    g = graph({0: (0,), 1: (1,)})
-    req = MatchingRequest(g, 1, frozenset({1}), frozenset({0, 1}), frozenset())
-    assert solve_harem(req).stars == {0: (0,), 1: (1,)}
+        MatchingRequest(g, 1, lefts, rights, frozenset({0}))
+    # every left is required
+    g2 = graph({0: (0, 1), 1: (1,)})
+    with pytest.raises(ValueError):
+        MatchingRequest(g2, 1, lefts, rights, frozenset())
+    # every right is required or optional
+    with pytest.raises(ValueError):
+        MatchingRequest(g, 1, lefts, frozenset({0}), frozenset())
 
 
 # -- brute force -------------------------------------------------------------
@@ -199,12 +188,10 @@ def requests(draw):
     }
     g = FiniteBipartiteGraph(tuple(range(nl)), tuple(range(nr)), adj)
     k = draw(st.integers(1, 2))
-    req_left = draw(st.frozensets(st.integers(0, nl - 1), max_size=nl))
-    req_right = draw(st.frozensets(st.integers(0, nr - 1), max_size=nr))
-    optional = (
-        draw(st.frozensets(st.integers(0, nr - 1), max_size=nr)) - req_right
+    optional = draw(st.frozensets(st.integers(0, nr - 1), max_size=nr))
+    return MatchingRequest(
+        g, k, frozenset(g.left_ids), frozenset(g.right_ids) - optional, optional
     )
-    return MatchingRequest(g, k, req_left, req_right, optional)
 
 
 @given(requests())
@@ -216,6 +203,120 @@ def test_solver_agrees_with_brute_force(req):
     if got is not None:
         assert got.stars == first.stars
         assert verify_matching(req, got).ok
+
+
+# -- beyond brute-force sizes ----------------------------------------------------
+
+
+def shell_request(rng, n_left, k, degree, n_shell, p_optional, planted=True):
+    """k*n_left rights plus an optional shell of n_shell more, each of the
+    others optional with probability p_optional.  A planted instance hides
+    a perfect matching among its rows; an unplanted one has no isolated
+    right, so a degree count cannot settle it."""
+    n_right = k * n_left + n_shell
+    rights = list(range(n_right))
+    rng.shuffle(rights)
+    adj = {}
+    for a in range(n_left):
+        row = set(rights[k * a : k * a + k]) if planted else set()
+        while len(row) < degree:
+            row.add(rng.randrange(n_right))
+        adj[a] = row
+    if not planted:
+        covered = set().union(*adj.values())
+        for b in range(n_right):
+            if b not in covered:
+                adj[rng.randrange(n_left)].add(b)
+    optional = frozenset(rights[k * n_left :]) | frozenset(
+        b for b in rights[: k * n_left] if rng.random() < p_optional
+    )
+    g = FiniteBipartiteGraph(
+        tuple(range(n_left)),
+        tuple(range(n_right)),
+        {a: tuple(sorted(row)) for a, row in adj.items()},
+    )
+    return MatchingRequest(
+        g, k, frozenset(g.left_ids), frozenset(g.right_ids) - optional, optional
+    )
+
+
+def networkx_feasible(nx, req):
+    """Feasibility by max-flow with lower bounds: s -> left [k, k], left ->
+    right [0, 1], right -> t [1, 1] if required else [0, 1], t -> s
+    unbounded; the lower bounds are moved to a super source and sink."""
+    edges = [("t", "s", 0, req.k * len(req.graph.left_ids))]
+    for a in req.graph.left_ids:
+        edges.append(("s", ("L", a), req.k, req.k))
+        for b in req.graph.adjacency.get(a, ()):
+            edges.append((("L", a), ("R", b), 0, 1))
+    for b in req.graph.right_ids:
+        edges.append((("R", b), "t", int(b in req.required_right), 1))
+    net = nx.DiGraph()
+    excess = defaultdict(int)
+    for u, v, lo, hi in edges:
+        net.add_edge(u, v, capacity=hi - lo)
+        excess[v] += lo
+        excess[u] -= lo
+    for x, e in excess.items():
+        if e > 0:
+            net.add_edge("S*", x, capacity=e)
+        elif e < 0:
+            net.add_edge(x, "T*", capacity=-e)
+    need = sum(e for e in excess.values() if e > 0)
+    return nx.maximum_flow_value(net, "S*", "T*") == need
+
+
+def test_feasibility_agrees_with_networkx_max_flow():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2024)
+    outcomes = set()
+    for i in range(40):
+        planted = i % 2 == 0
+        n_left, k = rng.randint(100, 300), rng.randint(1, 3)
+        degree = k + (rng.randint(0, 3) if planted else rng.randint(1, 6))
+        p_optional = rng.random() * (0.5 if planted else 0.9)
+        req = shell_request(
+            rng, n_left, k, degree, rng.randint(0, n_left), p_optional, planted
+        )
+        got = solve_harem(req)
+        assert (got is not None) == networkx_feasible(nx, req), i
+        if got is not None:
+            assert verify_matching(req, got).ok
+        outcomes.add((planted, got is not None))
+    # planted instances are feasible; unplanted ones go both ways
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n_left, k, degree, n_shell, p_optional, seed, stars_sha, pivots_sha",
+    [
+        (300, 2, 6, 200, 0.0, 1,
+         "368a1542adfd65ec5374a204cc1422cbfbb2f0f52d13c89a487ad3ad6b53af9a",
+         "ffdd63b0d4804c0bcee311646970379d9c857556f5eee8c3fe30658dde975fe9"),
+        (300, 1, 4, 100, 0.1, 2,
+         "ea5fd6ac48970e113b5a9004763b155ab74bde1f323206a524e3f78428ed5b54",
+         "ecc12ac728a9b080fa0646e2addfb8074cabecfe910d0a6504576e2d60d1ea56"),
+        (200, 3, 7, 150, 0.05, 3,
+         "596e6397a3405c0613c86f2ebc3cf7a4e5fa3d2a90675f761697326ac4d64a53",
+         "d90b393ec07bb91be78e53581a4d75ea122d7f3184d22932cd04ddf4abd97f86"),
+    ],
+)
+def test_canonical_star_map_pinned(
+    n_left, k, degree, n_shell, p_optional, seed, stars_sha, pivots_sha
+):
+    # Digests of the canonical answer on instances far past brute force,
+    # so a change to the canonical pass cannot drift unnoticed.
+    req = shell_request(random.Random(seed), n_left, k, degree, n_shell, p_optional)
+    assert digest(sorted(solve_harem(req).stars.items())) == stars_sha
+    required = sorted(req.required_right)
+    pivots = [Vertex(Side.LEFT, a) for a in (0, n_left // 3, n_left - 1)] + [
+        Vertex(Side.RIGHT, b) for b in required[:: len(required) // 3]
+    ]
+    assert digest([solve_star(req, v) for v in pivots]) == pivots_sha
 
 
 # -- verify_matching ----------------------------------------------------------

@@ -135,6 +135,15 @@ def test_negative_query_fails_fast():
     assert eng.step == 0 and not eng.stars
 
 
+@pytest.mark.parametrize("size", [0, -5])
+def test_nonpositive_ball_budget_rejected(size):
+    g = FiniteBipartiteGraph.from_adjacency({0: (0, 1)})
+    with pytest.raises(ValueError):
+        EngineState(g.as_oracle(), k=2, h=vacuous_witness(1), max_ball_size=size)
+    with pytest.raises(ValueError):
+        ParadoxDecomp(tight_spec(2), max_ball_size=size)
+
+
 def test_witness_refuted_on_starved_graph():
     g, eng = engine_for({0: (0,)}, k=2)
     with pytest.raises(WitnessRefuted):
