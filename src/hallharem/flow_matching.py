@@ -2,9 +2,11 @@
 
 A request asks that every left vertex receive exactly k partners, and that
 every right vertex be either required (covered exactly once) or optional
-(covered at most once).  Solving reduces to a circulation with lower
-bounds, found by breadth-first augmentation and then rewritten to the
-canonical (lexicographically least) star map so results are reproducible.
+(covered at most once).  Solving searches a residual network of lefts,
+rights and one sink by breadth-first augmentation: first every left gets
+k partners, then paths reroute partners until every required right is
+covered, and a greedy pass rewrites that witness to the canonical
+(lexicographically least) star map so results are reproducible.
 
 ``check_hall_harem`` and ``check_expanding_hall_witness`` are exhaustive
 subset-condition checkers used as independent oracles in the test suite;
@@ -22,8 +24,7 @@ from typing import Callable, Iterator
 from .core_graph import FiniteBipartiteGraph, Side, Vertex
 from .errors import InternalError, SizeGuardError, WitnessError
 
-_SRC = -1
-_SNK = -2
+_SNK = -1
 
 BRUTE_MAX_LEFT = 6
 BRUTE_MAX_RIGHT = 12
@@ -105,13 +106,16 @@ class MatchingReport:
 
 
 class _Solver:
-    """Circulation state plus the canonicalizing greedy pass.
+    """A residual network of lefts (node 2a), rights (2b+1) and one sink,
+    plus the canonicalizing greedy pass.
 
-    The witness matching (``cover``/``counts``) is some feasible solution,
-    updated in place by residual-path reroutes; ``pins`` accumulate the
-    final canonical answer and are never undone.  A pinned edge never
-    leaves the witness, so ``pinned_cover`` also names the witness edges
-    the residual search may not remove.
+    A left may take a candidate outside its star, a right may leave the
+    star that holds it or, held by none, reach the sink, and the sink may
+    drop any matched optional right (``unsinkable``).  The witness
+    (``cover``) is some feasible matching, rerouted in place along residual
+    paths; ``pins`` accumulate the canonical answer and are never undone.
+    A pinned edge never leaves the witness, so ``pinned_cover`` also names
+    the witness edges the residual search may not remove.
     """
 
     def __init__(self, req: MatchingRequest):
@@ -122,11 +126,6 @@ class _Solver:
         self.cand = g.adjacency
         self.required_right = req.required_right
         self.cover: dict[int, int] = {}
-        self.counts: dict[int, int] = {a: 0 for a in g.left_ids}
-        self.total = 0
-        # prepare() rejects a left with fewer than k candidates before any
-        # search, so every left starts with room for another partner.
-        self.spare: set[int] = set(g.left_ids)
         self.unsinkable: set[int] = set()
         self.pins: dict[int, list[int]] = {}
         self.pinned_cover: dict[int, int] = {}
@@ -135,7 +134,10 @@ class _Solver:
     # -- feasibility ------------------------------------------------------
 
     def prepare(self) -> bool:
-        """Quick rejects plus saturation of all lower bounds."""
+        """Quick rejects, then a witness: every left gets k partners, then
+        paths from the sink cover each required right.  The flow value stays
+        k per left from then on: every later path takes one partner from
+        each left it passes and gives it another."""
         req = self.req
         if len(req.required_right) > self.k * len(self.lefts):
             return False
@@ -150,12 +152,13 @@ class _Solver:
         if any(d == 0 for d in rdeg.values()):
             return False
         for a in self.lefts:
-            while self.counts[a] < self.k:
+            # A path from 2a adds one edge at a and never re-enters a.
+            for _ in range(self.k):
                 if not self._augment(2 * a, _SNK):
                     return False
         for b in sorted(req.required_right):
             if b not in self.cover:
-                if not self._augment(_SRC, 2 * b + 1):
+                if not self._augment(_SNK, 2 * b + 1):
                     return False
         return True
 
@@ -163,36 +166,17 @@ class _Solver:
 
     def _bfs(self, start: int, target: int) -> list[tuple[str, int, int]] | None:
         """Residual path from start to target; returns the edge mutations
-        ('add'/'rm', left, right) along it, or None if unreachable."""
+        ('add'/'rm', left, right) along it, last first, or None if
+        unreachable."""
         parent: dict[int, tuple[int, tuple[str, int, int] | None]] = {
             start: (start, None)
         }
-        if start == target:
-            return []
         queue: deque[int] = deque((start,))
         cover = self.cover
         pinned_cover = self.pinned_cover
         while queue:
             u = queue.popleft()
-            if u == _SRC:
-                if _SNK not in parent and self.total > 0:
-                    if _SNK == target:
-                        return self._path(parent, u, None)
-                    parent[_SNK] = (u, None)
-                    queue.append(_SNK)
-                for a in self.spare:
-                    v = 2 * a
-                    if v not in parent:
-                        if v == target:
-                            return self._path(parent, u, None)
-                        parent[v] = (u, None)
-                        queue.append(v)
-            elif u == _SNK:
-                if _SRC not in parent:
-                    if _SRC == target:
-                        return self._path(parent, u, None)
-                    parent[_SRC] = (u, None)
-                    queue.append(_SRC)
+            if u == _SNK:
                 for b in self.unsinkable:
                     v = 2 * b + 1
                     if v not in parent:
@@ -230,36 +214,25 @@ class _Solver:
         return None
 
     @staticmethod
-    def _path(parent, last_node, last_op) -> list[tuple[str, int, int]]:
-        ops = [last_op] if last_op is not None else []
-        node = last_node
+    def _path(parent, node, op) -> list[tuple[str, int, int]]:
+        ops = []
         while True:
-            prev, op = parent[node]
             if op is not None:
                 ops.append(op)
+            prev, op = parent[node]
             if prev == node:
-                break
+                return ops
             node = prev
-        ops.reverse()
-        return ops
 
     def _apply(self, ops: list[tuple[str, int, int]]) -> None:
-        # Removals first: a right vertex rerouted inside one path is removed
-        # from its old star before being attached to the new one.
+        # Last-first along a path, a rerouted right is removed from its old
+        # star before it is attached to the new one.
         for kind, a, b in ops:
             if kind == "rm":
                 del self.cover[b]
-                self.counts[a] -= 1
-                self.total -= 1
-                self.spare.add(a)
                 self.unsinkable.discard(b)
-        for kind, a, b in ops:
-            if kind == "add":
+            else:
                 self.cover[b] = a
-                self.counts[a] += 1
-                self.total += 1
-                if self.counts[a] >= self.k:
-                    self.spare.discard(a)
                 if b not in self.required_right:
                     self.unsinkable.add(b)
 
@@ -277,8 +250,8 @@ class _Solver:
         ops = self._bfs(2 * b + 1, 2 * a)
         if ops is None:
             return False
+        ops.append(("add", a, b))
         self._apply(ops)
-        self._apply([("add", a, b)])
         return True
 
     def _process_left(self, a: int) -> None:
@@ -308,9 +281,11 @@ class _Solver:
                 return a, tuple(self.pins[a])
             if stop.side is Side.RIGHT:
                 a1 = self.pinned_cover.get(stop.index)
-                if a1 is not None and a1 <= a:
+                if a1 is not None:
                     return a1, tuple(self.pins[a1])
         if stop is not None:
+            if stop.side is Side.RIGHT and stop.index in self.req.optional_right:
+                raise ValueError(f"optional pivot {stop!r} is left unmatched")
             raise InternalError(f"pivot {stop!r} never matched by the greedy pass")
         if self.need_right != 0:
             raise InternalError("greedy pass ended with unmet requirements")
@@ -342,8 +317,17 @@ def solve_star(req: MatchingRequest, pivot: Vertex) -> tuple[int, tuple[int, ...
     For a left pivot this is its own star; for a right pivot, the full star
     of the left vertex matched to it.  Decisions of the canonical pass are
     final in ascending left order, so the pass can stop early; the result
-    equals the corresponding fragment of ``solve_harem(req)``.
+    equals the corresponding fragment of ``solve_harem(req)``.  Returns None
+    if the request is infeasible.  Raises ValueError if the pivot is not a
+    vertex of the request, or is an optional right the canonical matching
+    leaves unmatched.
     """
+    if pivot.side is Side.LEFT:
+        known = pivot.index in req.required_left
+    else:
+        known = pivot.index in req.required_right or pivot.index in req.optional_right
+    if not known:
+        raise ValueError(f"pivot {pivot!r} is not a vertex of the request")
     solver = _Solver(req)
     if not solver.prepare():
         return None

@@ -267,16 +267,12 @@ class GeneratorSet:
         )
 
     def power(self, n: int) -> "GeneratorSet":
-        """All products of n elements (contains lower powers: 1 is here)."""
+        """All products of n elements: the identity is one, so these are
+        the products of at most n, the ball of radius n around it."""
         if n < 1:
             raise ValueError("power must be >= 1")
         e = enumeration(self.rank)
-        current = {e.word_to_index(w) for w in self.elements}
-        for _ in range(n - 1):
-            current = {act(x, i) for x in self.elements for i in current}
-        return GeneratorSet(
-            self.rank, tuple(e.index_to_word(i) for i in sorted(current))
-        )
+        return GeneratorSet(self.rank, tuple(map(e.index_to_word, ball(self, 0, n))))
 
 
 class OverCap:

@@ -346,6 +346,13 @@ def test_unknown_flag_rejected(capsys):
         ),
         ("verify_decomposition_steps_2", ["verify", "--what", "decomposition", "--steps", "2"], 0),
         ("decompose_classic_0_40", ["decompose", "--window", "0..40", "--classic"], 0),
+        # past brute-force sizes: 400 lefts, 800 rights, k=2, degree 6
+        ("finite_planted_400_k2", ["finite", str(GOLDEN / "planted_400_k2.bg")], 0),
+        (
+            "lazy_file_planted_400_k2_right_17",
+            ["lazy", "--file", str(GOLDEN / "planted_400_k2.bg"), "--right", "17"],
+            0,
+        ),
     ],
 )
 def test_cli_golden_stdout(name, argv, code):

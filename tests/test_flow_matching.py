@@ -99,15 +99,48 @@ def test_solve_deterministic():
     assert solve_harem(req).stars == solve_harem(req).stars
 
 
+def _optional_request(adj, k, optional):
+    g = graph(adj)
+    optional = frozenset(optional)
+    return MatchingRequest(
+        g, k, frozenset(g.left_ids), frozenset(g.right_ids) - optional, optional
+    )
+
+
 def test_solve_star_matches_full_solve():
-    g = graph({0: (0, 1, 2), 1: (1, 2, 3), 2: (2, 3, 4, 5)})
-    req = MatchingRequest.all_required(g, 2)
-    full = solve_harem(req)
-    for a in g.left_ids:
-        assert solve_star(req, Vertex(Side.LEFT, a)) == (a, full.stars[a])
-    for b in g.right_ids:
-        a = full.inverse[b]
-        assert solve_star(req, Vertex(Side.RIGHT, b)) == (a, full.stars[a])
+    for req in (
+        MatchingRequest.all_required(
+            graph({0: (0, 1, 2), 1: (1, 2, 3), 2: (2, 3, 4, 5)}), 2
+        ),
+        # optional R0 is matched, optional R6 is not
+        _optional_request({0: (0, 1, 2), 1: (1, 2, 3), 2: (2, 3, 4, 5, 6)}, 2, {0, 6}),
+    ):
+        full = solve_harem(req)
+        for a in req.graph.left_ids:
+            assert solve_star(req, Vertex(Side.LEFT, a)) == (a, full.stars[a])
+        for b, a in full.inverse.items():
+            assert solve_star(req, Vertex(Side.RIGHT, b)) == (a, full.stars[a])
+
+
+@pytest.mark.parametrize(
+    "req, pivot, message",
+    [
+        # optional R1 is a vertex, but the canonical matching leaves it out
+        (_optional_request({0: (0, 1)}, 1, {1}), Vertex(Side.RIGHT, 1), "R1"),
+        (_optional_request({0: (0, 1)}, 1, {1}), Vertex(Side.LEFT, 7), "L7"),
+        (_optional_request({0: (0, 1)}, 1, {1}), Vertex(Side.RIGHT, 9), "R9"),
+        # rejected before solving, so an infeasible request still raises
+        (
+            MatchingRequest.all_required(graph({0: (0,), 1: (0,)}), 1),
+            Vertex(Side.LEFT, 7),
+            "L7",
+        ),
+    ],
+    ids=["unmatched-optional", "unknown-left", "unknown-right", "unknown-infeasible"],
+)
+def test_solve_star_rejects_pivot(req, pivot, message):
+    with pytest.raises(ValueError, match=message):
+        solve_star(req, pivot)
 
 
 def test_request_validation():

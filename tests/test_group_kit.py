@@ -319,6 +319,18 @@ def test_generator_set_power():
     assert len(r.power(2).elements) == 5  # e, a, A, aa, AA
     r2_ = GeneratorSet.standard(2)
     assert len(r2_.power(2).elements) == 17
+    # against products of exactly n elements, multiplied out word by word
+    for r in (
+        GeneratorSet.standard(1),
+        r2_,
+        GeneratorSet.standard(3),
+        GeneratorSet.symmetrized(2, [parse_word(2, "ab")]),
+    ):
+        products = {identity(r.rank)}
+        for n in (1, 2, 3):
+            products = {mul(x, w) for x in r.elements for w in products}
+            order = enumeration(r.rank).word_to_index
+            assert r.power(n).elements == tuple(sorted(products, key=order))
 
 
 # -- boundary ratio tests -------------------------------------------------------------
