@@ -326,10 +326,10 @@ def test_generator_set_power():
         GeneratorSet.standard(3),
         GeneratorSet.symmetrized(2, [parse_word(2, "ab")]),
     ):
+        order = enumeration(r.rank).word_to_index
         products = {identity(r.rank)}
         for n in (1, 2, 3):
             products = {mul(x, w) for x in r.elements for w in products}
-            order = enumeration(r.rank).word_to_index
             assert r.power(n).elements == tuple(sorted(products, key=order))
 
 
