@@ -13,13 +13,7 @@ import sys
 from typing import Sequence
 
 from . import core_graph, decomposition, flow_matching, group_kit, harem_engine
-from .errors import (
-    BallBudgetExceeded,
-    WitnessRefuted,
-    HallHaremError,
-    ParseError,
-    SizeGuardError,
-)
+from .errors import HallHaremError, ParseError, SizeGuardError
 
 
 def _read_text(path: str) -> str:
@@ -88,16 +82,12 @@ def _make_engine(args: argparse.Namespace) -> harem_engine.EngineState:
 
 def cmd_lazy(args: argparse.Namespace) -> int:
     engine = _make_engine(args)
-    try:
-        if args.left is not None:
-            star = engine.match_left(args.left)
-            print(f"L {args.left} -> {' '.join(str(b) for b in star)}")
-        else:
-            partner = engine.match_right(args.right)
-            print(f"R {args.right} -> {partner}")
-    except (WitnessRefuted, BallBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.left is not None:
+        star = engine.match_left(args.left)
+        print(f"L {args.left} -> {' '.join(str(b) for b in star)}")
+    else:
+        partner = engine.match_right(args.right)
+        print(f"R {args.right} -> {partner}")
     return 0
 
 
@@ -113,12 +103,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             else decomposition.corollary_spec(2)
         )
         provider = decomposition.ParadoxDecomp(spec, max_ball_size=args.max_ball)
-    try:
-        lines = list(decomposition.tsv_rows(provider, window))
-    except (WitnessRefuted, BallBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    out = "\n".join(lines) + "\n"
+    out = "\n".join(decomposition.tsv_rows(provider, window)) + "\n"
     if args.out == "-":
         sys.stdout.write(out)
     else:
@@ -176,11 +161,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         spec = decomposition.tight_spec(2)
         decomp = decomposition.ParadoxDecomp(spec, max_ball_size=args.max_ball)
-        try:
-            decomp.run_steps(args.steps)
-        except (WitnessRefuted, BallBudgetExceeded) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        decomp.run_steps(args.steps)
         report = decomposition.verify_engine_window(decomp)
     if report.ok:
         print(f"PASS ({report.checked} indices)")

@@ -115,7 +115,8 @@ class _Solver:
     (``cover``) is some feasible matching, rerouted in place along residual
     paths; ``pins`` accumulate the canonical answer and are never undone.
     A pinned edge never leaves the witness, so ``pinned_cover`` also names
-    the witness edges the residual search may not remove.
+    the witness edges the residual search may not remove.  A path is kept
+    as parent pointers only: the sides of an arc's ends fix its edit.
     """
 
     def __init__(self, req: MatchingRequest):
@@ -141,15 +142,12 @@ class _Solver:
         req = self.req
         if len(req.required_right) > self.k * len(self.lefts):
             return False
+        if any(len(self.cand.get(a, ())) < self.k for a in self.lefts):
+            return False
+        unreached = set(req.required_right)
         for a in self.lefts:
-            if len(self.cand.get(a, ())) < self.k:
-                return False
-        rdeg: dict[int, int] = {b: 0 for b in req.required_right}
-        for a in self.lefts:
-            for b in self.cand[a]:
-                if b in rdeg:
-                    rdeg[b] += 1
-        if any(d == 0 for d in rdeg.values()):
+            unreached.difference_update(self.cand[a])
+        if unreached:
             return False
         for a in self.lefts:
             # A path from 2a adds one edge at a and never re-enters a.
@@ -157,20 +155,16 @@ class _Solver:
                 if not self._augment(2 * a, _SNK):
                     return False
         for b in sorted(req.required_right):
-            if b not in self.cover:
-                if not self._augment(_SNK, 2 * b + 1):
-                    return False
+            if b not in self.cover and not self._augment(_SNK, 2 * b + 1):
+                return False
         return True
 
     # -- residual search --------------------------------------------------
 
-    def _bfs(self, start: int, target: int) -> list[tuple[str, int, int]] | None:
-        """Residual path from start to target; returns the edge mutations
-        ('add'/'rm', left, right) along it, last first, or None if
-        unreachable."""
-        parent: dict[int, tuple[int, tuple[str, int, int] | None]] = {
-            start: (start, None)
-        }
+    def _bfs(self, start: int, target: int) -> dict[int, int] | None:
+        """Parent pointers of a breadth-first residual search, start mapped
+        to itself, returned once target is reached; None if unreachable."""
+        parent: dict[int, int] = {start: start}
         queue: deque[int] = deque((start,))
         cover = self.cover
         pinned_cover = self.pinned_cover
@@ -180,9 +174,9 @@ class _Solver:
                 for b in self.unsinkable:
                     v = 2 * b + 1
                     if v not in parent:
+                        parent[v] = u
                         if v == target:
-                            return self._path(parent, u, None)
-                        parent[v] = (u, None)
+                            return parent
                         queue.append(v)
             elif u % 2 == 0:  # left vertex
                 a = u // 2
@@ -190,68 +184,57 @@ class _Solver:
                     v = 2 * b + 1
                     if v in parent or cover.get(b) == a:
                         continue
-                    op = ("add", a, b)
+                    parent[v] = u
                     if v == target:
-                        return self._path(parent, u, op)
-                    parent[v] = (u, op)
+                        return parent
                     queue.append(v)
             else:  # right vertex
                 b = u // 2
-                a2 = cover.get(b)
-                if a2 is not None:
-                    v = 2 * a2
-                    if v not in parent and b not in pinned_cover:
-                        op = ("rm", a2, b)
+                # Exact for uncovered rights too (they go to the sink): an
+                # uncovered right is never pinned, as pins stay in the witness.
+                if b not in pinned_cover:
+                    a2 = cover.get(b)
+                    v = _SNK if a2 is None else 2 * a2
+                    if v not in parent:
+                        parent[v] = u
                         if v == target:
-                            return self._path(parent, u, op)
-                        parent[v] = (u, op)
+                            return parent
                         queue.append(v)
-                elif _SNK not in parent:
-                    if _SNK == target:
-                        return self._path(parent, u, None)
-                    parent[_SNK] = (u, None)
-                    queue.append(_SNK)
         return None
 
-    @staticmethod
-    def _path(parent, node, op) -> list[tuple[str, int, int]]:
-        ops = []
-        while True:
-            if op is not None:
-                ops.append(op)
-            prev, op = parent[node]
-            if prev == node:
-                return ops
-            node = prev
-
-    def _apply(self, ops: list[tuple[str, int, int]]) -> None:
-        # Last-first along a path, a rerouted right is removed from its old
-        # star before it is attached to the new one.
-        for kind, a, b in ops:
-            if kind == "rm":
-                del self.cover[b]
-                self.unsinkable.discard(b)
-            else:
-                self.cover[b] = a
-                if b not in self.required_right:
-                    self.unsinkable.add(b)
+    def _add(self, a: int, b: int) -> None:
+        self.cover[b] = a
+        if b not in self.required_right:
+            self.unsinkable.add(b)
 
     def _augment(self, start: int, target: int) -> bool:
-        ops = self._bfs(start, target)
-        if ops is None:
+        """Reroute the witness along a start-target path, walked back from
+        target: left->right adds that edge, right->left drops the right from
+        its star, sink arcs change nothing.  Last-first, a rerouted right is
+        removed from its old star before it joins the new one."""
+        parent = self._bfs(start, target)
+        if parent is None:
             return False
-        self._apply(ops)
+        v = target
+        while v != start:
+            u = parent[v]
+            if u != _SNK and v != _SNK:  # _SNK is odd: test it before parity
+                if u % 2 == 0:
+                    self._add(u // 2, v // 2)
+                else:
+                    b = u // 2
+                    del self.cover[b]
+                    self.unsinkable.discard(b)
+            v = u
         return True
 
     # -- canonicalization -------------------------------------------------
 
     def _force(self, a: int, b: int) -> bool:
         """Try to reroute the witness so edge (a, b) joins it."""
-        ops = self._bfs(2 * b + 1, 2 * a)
-        if ops is None:
+        if not self._augment(2 * b + 1, 2 * a):
             return False
-        ops.append(("add", a, b))
-        self._apply(ops)
+        self._add(a, b)
         return True
 
     def _process_left(self, a: int) -> None:

@@ -273,15 +273,17 @@ def shell_request(rng, n_left, k, degree, n_shell, p_optional, planted=True):
     )
 
 
-def networkx_feasible(nx, req):
+def networkx_feasible(nx, req, forced=frozenset(), rows=None):
     """Feasibility by max-flow with lower bounds: s -> left [k, k], left ->
-    right [0, 1], right -> t [1, 1] if required else [0, 1], t -> s
-    unbounded; the lower bounds are moved to a super source and sink."""
+    right [0, 1] ([1, 1] if the edge is forced), right -> t [1, 1] if
+    required else [0, 1], t -> s unbounded; the lower bounds are moved to a
+    super source and sink.  ``rows`` restricts the candidates of some lefts."""
+    rows = rows or {}
     edges = [("t", "s", 0, req.k * len(req.graph.left_ids))]
     for a in req.graph.left_ids:
         edges.append(("s", ("L", a), req.k, req.k))
-        for b in req.graph.adjacency.get(a, ()):
-            edges.append((("L", a), ("R", b), 0, 1))
+        for b in rows.get(a, req.graph.adjacency.get(a, ())):
+            edges.append((("L", a), ("R", b), int((a, b) in forced), 1))
     for b in req.graph.right_ids:
         edges.append((("R", b), "t", int(b in req.required_right), 1))
     net = nx.DiGraph()
@@ -317,6 +319,43 @@ def test_feasibility_agrees_with_networkx_max_flow():
             assert verify_matching(req, got).ok
         outcomes.add((planted, got is not None))
     # planted instances are feasible; unplanted ones go both ways
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def networkx_lex_least(nx, req):
+    """The lex-least star map, fixed left by left with max-flow alone: each
+    candidate, in ascending order, is kept if the network stays feasible
+    with it forced and dropped from its left's row otherwise."""
+    if not networkx_feasible(nx, req):
+        return None
+    forced, rows = set(), {}
+    for a in req.graph.left_ids:
+        row = rows[a] = list(req.graph.adjacency[a])
+        kept = 0
+        for b in tuple(row):
+            if kept < req.k and networkx_feasible(nx, req, forced | {(a, b)}, rows):
+                forced.add((a, b))
+                kept += 1
+            else:
+                row.remove(b)
+    return {a: tuple(row) for a, row in rows.items()}
+
+
+def test_canonical_star_map_agrees_with_networkx():
+    # An independent check of lex-leastness past brute-force sizes.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(7)
+    outcomes = set()
+    for i in range(8):
+        planted = i % 2 == 0
+        n_left, k = rng.randint(15, 30), rng.randint(1, 3)
+        degree = k + rng.randint(1, 3 if planted else 5)
+        req = shell_request(
+            rng, n_left, k, degree, rng.randint(1, n_left), rng.random() * 0.5, planted
+        )
+        got = solve_harem(req)
+        assert (got and got.stars) == networkx_lex_least(nx, req), i
+        outcomes.add((planted, got is not None))
     assert outcomes == {(True, True), (False, True), (False, False)}
 
 
