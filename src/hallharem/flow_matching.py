@@ -6,7 +6,11 @@ every right vertex be either required (covered exactly once) or optional
 rights and one sink by breadth-first augmentation: first every left gets
 k partners, then paths reroute partners until every required right is
 covered, and a greedy pass rewrites that witness to the canonical
-(lexicographically least) star map so results are reproducible.
+(lexicographically least) star map so results are reproducible.  The
+greedy pass tries each candidate edge in ascending order and keeps it if a
+residual path frees a slot for it; it looks for that path with a search
+grown from both of its ends, because a forward search alone visits most
+of the network on each try.
 
 ``check_hall_harem`` and ``check_expanding_hall_witness`` are exhaustive
 subset-condition checkers used as independent oracles in the test suite;
@@ -117,6 +121,14 @@ class _Solver:
     A pinned edge never leaves the witness, so ``pinned_cover`` also names
     the witness edges the residual search may not remove.  A path is kept
     as parent pointers only: the sides of an arc's ends fix its edit.
+
+    ``prepare`` finds its paths with the forward ``_bfs``: one end of each
+    is the sink, whose backward frontier is every uncovered right.  A
+    ``_force`` path joins a right to a left, so ``_meet`` grows its search
+    from both and expands the smaller frontier.  Its backward arcs read the
+    graph's right adjacency and ``free``, the uncovered optional rights;
+    both are built on the first backward step that needs them, and
+    ``free`` is kept in step with ``cover`` from then on.
     """
 
     def __init__(self, req: MatchingRequest):
@@ -131,6 +143,9 @@ class _Solver:
         self.pins: dict[int, list[int]] = {}
         self.pinned_cover: dict[int, int] = {}
         self.need_right = len(req.required_right)
+        # Built on first use: on F2 balls the canonical pass makes no
+        # reroute, so building it up front would be pure cost.
+        self.free: set[int] | None = None
 
     # -- feasibility ------------------------------------------------------
 
@@ -206,13 +221,18 @@ class _Solver:
         self.cover[b] = a
         if b not in self.required_right:
             self.unsinkable.add(b)
+            if self.free is not None:
+                self.free.discard(b)
 
-    def _augment(self, start: int, target: int) -> bool:
-        """Reroute the witness along a start-target path, walked back from
-        target: left->right adds that edge, right->left drops the right from
-        its star, sink arcs change nothing.  Last-first, a rerouted right is
-        removed from its old star before it joins the new one."""
-        parent = self._bfs(start, target)
+    def _augment(
+        self, start: int, target: int, search: Callable[..., dict[int, int] | None] = _bfs
+    ) -> bool:
+        """Reroute the witness along a start-target path found by ``search``,
+        walked back from target: left->right adds that edge, right->left
+        drops the right from its star, sink arcs change nothing.  Last-first,
+        a rerouted right is removed from its old star before it joins the
+        new one."""
+        parent = search(self, start, target)
         if parent is None:
             return False
         v = target
@@ -224,15 +244,98 @@ class _Solver:
                 else:
                     b = u // 2
                     del self.cover[b]
-                    self.unsinkable.discard(b)
+                    if b in self.unsinkable:
+                        self.unsinkable.remove(b)
+                        if self.free is not None:
+                            self.free.add(b)
             v = u
         return True
+
+    def _meet(self, start: int, target: int) -> dict[int, int] | None:
+        """The residual search of _bfs grown from both ends: forward from
+        start along _bfs's arcs and backward from target along the same arcs
+        reversed, each round expanding one whole level of the smaller
+        frontier.  Where the halves meet, the backward half is spliced onto
+        the parent pointers, so the result reads as _bfs's does; None if
+        target is unreachable.
+
+        Only ``_force`` calls it, after ``prepare`` has covered every
+        required right, so the sink's predecessors, the uncovered rights,
+        are exactly ``free``."""
+        cand = self.cand
+        cover = self.cover
+        pinned_cover = self.pinned_cover
+        unsinkable = self.unsinkable
+        parent = {start: start}
+        child = {target: target}  # backward pointers, one step nearer target
+        ahead, behind = [start], [target]
+        while ahead and behind:
+            level: list[int] = []
+            if len(ahead) <= len(behind):
+                for u in ahead:
+                    if u == _SNK:
+                        succ = [2 * b + 1 for b in unsinkable]
+                    elif u % 2 == 0:
+                        a = u // 2
+                        succ = [2 * b + 1 for b in cand[a] if cover.get(b) != a]
+                    elif u // 2 in pinned_cover:
+                        continue
+                    else:
+                        a2 = cover.get(u // 2)
+                        succ = [_SNK if a2 is None else 2 * a2]
+                    for v in succ:
+                        if v not in parent:
+                            parent[v] = u
+                            if v in child:
+                                return self._splice(parent, child, v)
+                            level.append(v)
+                ahead = level
+            else:
+                radj = self.req.graph.right_adjacency
+                for v in behind:
+                    if v == _SNK:
+                        if self.free is None:
+                            self.free = set(self.req.optional_right) - unsinkable
+                        pred = [2 * b + 1 for b in self.free]
+                    elif v % 2 == 0:
+                        a = v // 2
+                        pred = [
+                            2 * b + 1
+                            for b in cand[a]
+                            if cover.get(b) == a and b not in pinned_cover
+                        ]
+                    else:
+                        # Every left of b but its owner; the owner is b's
+                        # successor, so it is already in child.
+                        b = v // 2
+                        pred = [2 * a for a in radj.get(b, ())]
+                        if b in unsinkable:
+                            pred.append(_SNK)
+                    for u in pred:
+                        if u not in child:
+                            child[u] = v
+                            if u in parent:
+                                return self._splice(parent, child, u)
+                            level.append(u)
+                behind = level
+        return None
+
+    @staticmethod
+    def _splice(parent: dict[int, int], child: dict[int, int], m: int) -> dict[int, int]:
+        """Extend parent pointers from the meeting node m to the target."""
+        n = child[m]
+        while n != m:  # the target is its own child
+            parent[n] = m
+            m, n = n, child[n]
+        return parent
 
     # -- canonicalization -------------------------------------------------
 
     def _force(self, a: int, b: int) -> bool:
-        """Try to reroute the witness so edge (a, b) joins it."""
-        if not self._augment(2 * b + 1, 2 * a):
+        """Try to reroute the witness so edge (a, b) joins it: a residual
+        path from 2b+1 to 2a, found by the two-ended ``_meet``, hands one of
+        a's partners on and so frees a slot at a for b."""
+        if not self._augment(2 * b + 1, 2 * a, _Solver._meet):
             return False
         self._add(a, b)
         return True

@@ -12,6 +12,7 @@ from hallharem.errors import SizeGuardError, WitnessError
 from hallharem.flow_matching import (
     HaremMatching,
     MatchingRequest,
+    _Solver,
     brute_force_harem,
     check_expanding_hall_witness,
     check_hall_harem,
@@ -375,6 +376,10 @@ def digest(obj):
         (200, 3, 7, 150, 0.05, 3,
          "596e6397a3405c0613c86f2ebc3cf7a4e5fa3d2a90675f761697326ac4d64a53",
          "d90b393ec07bb91be78e53581a4d75ea122d7f3184d22932cd04ddf4abd97f86"),
+        # 3000 lefts, where each _force must not search the whole network
+        (3000, 2, 6, 150, 0.02, 4,
+         "7e1ed45461442758a7d18929172ff710a1632438cd13bdf546e42e5fc2333097",
+         "27d338fdbf8f51c1fd50afe662ab9f1f9ac237e13c5ced3845c78cc7f356212c"),
     ],
 )
 def test_canonical_star_map_pinned(
@@ -389,6 +394,44 @@ def test_canonical_star_map_pinned(
         Vertex(Side.RIGHT, b) for b in required[:: len(required) // 3]
     ]
     assert digest([solve_star(req, v) for v in pivots]) == pivots_sha
+
+
+class _CheckedSolver(_Solver):
+    """Decides each reroute of the canonical pass with the forward _bfs as
+    well, and records both answers."""
+
+    def __init__(self, req):
+        super().__init__(req)
+        self.answers = []
+
+    def _force(self, a, b):
+        forward = self._bfs(2 * b + 1, 2 * a) is not None
+        two_ended = super()._force(a, b)
+        self.answers.append((forward, two_ended))
+        return two_ended
+
+
+def test_two_ended_search_agrees_with_forward_bfs():
+    rng = random.Random(31)
+    answers, sink_expanded = set(), 0
+    for i in range(150):
+        n_left, k = rng.randint(5, 60), rng.randint(1, 3)
+        req = shell_request(
+            rng, n_left, k, k + rng.randint(1, 4), rng.randint(1, n_left),
+            rng.random() * 0.5, planted=i % 3 != 0,
+        )
+        solver = _CheckedSolver(req)
+        if not solver.prepare():
+            continue
+        solver.greedy(None)
+        assert all(forward == two_ended for forward, two_ended in solver.answers), i
+        assert solver.matching() == solve_harem(req)
+        answers.update(two_ended for _, two_ended in solver.answers)
+        # the uncovered rights are built on the backward search's first
+        # step out of the sink
+        sink_expanded += solver.free is not None
+    assert answers == {True, False}
+    assert sink_expanded > 0
 
 
 # -- verify_matching ----------------------------------------------------------

@@ -225,6 +225,22 @@ def test_act_letter_at_level_boundaries(rank):
                 assert e.act_letter(letter, n) == word_level_act(Word(rank, (letter,)), n)
 
 
+def test_rank1_act_in_closed_form():
+    # Rank 1 is the integers: index 2z-1 is a^z and index 2z is A^z.
+    e = Enumeration(1)
+    for n in range(300):
+        for letter in (1, -1):
+            assert e.act_letter(letter, n) == word_level_act(Word(1, (letter,)), n)
+    assert len(e._cum) == 1
+    a = Word(1, (1,))
+    grown = len(enumeration(1)._cum), len(enumeration(1)._pow)
+    assert act(a, 10**9) == 10**9 - 2
+    assert act(inv(a), 10**9) == 10**9 + 2
+    assert act(a, 10**18 + 1) == 10**18 + 3
+    assert act(Word(1, (-1, -1, -1)), 10**18 - 1) == 10**18 - 7
+    assert (len(enumeration(1)._cum), len(enumeration(1)._pow)) == grown
+
+
 def test_act_letter_exhaustive_window():
     e = enumeration(2)
     for n in range(3000):
