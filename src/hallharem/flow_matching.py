@@ -126,9 +126,9 @@ class _Solver:
     is the sink, whose backward frontier is every uncovered right.  A
     ``_force`` path joins a right to a left, so ``_meet`` grows its search
     from both and expands the smaller frontier.  Its backward arcs read the
-    graph's right adjacency and ``free``, the uncovered optional rights;
-    both are built on the first backward step that needs them, and
-    ``free`` is kept in step with ``cover`` from then on.
+    graph's right adjacency, cached on the graph and built on the first
+    backward step, and ``free``, the uncovered optional rights, which
+    ``_add`` and ``_augment`` keep in step with ``cover``.
     """
 
     def __init__(self, req: MatchingRequest):
@@ -143,9 +143,7 @@ class _Solver:
         self.pins: dict[int, list[int]] = {}
         self.pinned_cover: dict[int, int] = {}
         self.need_right = len(req.required_right)
-        # Built on first use: on F2 balls the canonical pass makes no
-        # reroute, so building it up front would be pure cost.
-        self.free: set[int] | None = None
+        self.free: set[int] = set(req.optional_right)
 
     # -- feasibility ------------------------------------------------------
 
@@ -221,8 +219,7 @@ class _Solver:
         self.cover[b] = a
         if b not in self.required_right:
             self.unsinkable.add(b)
-            if self.free is not None:
-                self.free.discard(b)
+            self.free.discard(b)
 
     def _augment(
         self, start: int, target: int, search: Callable[..., dict[int, int] | None] = _bfs
@@ -246,8 +243,7 @@ class _Solver:
                     del self.cover[b]
                     if b in self.unsinkable:
                         self.unsinkable.remove(b)
-                        if self.free is not None:
-                            self.free.add(b)
+                        self.free.add(b)
             v = u
         return True
 
@@ -294,8 +290,6 @@ class _Solver:
                 radj = self.req.graph.right_adjacency
                 for v in behind:
                     if v == _SNK:
-                        if self.free is None:
-                            self.free = set(self.req.optional_right) - unsinkable
                         pred = [2 * b + 1 for b in self.free]
                     elif v % 2 == 0:
                         a = v // 2

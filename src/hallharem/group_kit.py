@@ -187,19 +187,16 @@ class Enumeration:
         """Index of letter·w for the word w with index n."""
         if n < 0:
             raise ValueError("index must be >= 0")
-        p = 2 * (letter - 1) if letter > 0 else -2 * letter - 1  # _pos, inlined
-        if n == 0:
-            return 1 + p
-        cum = self._cum
-        if n < cum[-1]:
-            length = bisect_right(cum, n)
-        elif self.q == 1:
+        if self.q == 1:
             # Rank 1 in closed form, so act grows no table one entry per
             # length: index 2z-1 is a^z and index 2z is A^z.
             z = ((n + 1) // 2 if n % 2 else -(n // 2)) + letter
             return 2 * z - 1 if z > 0 else -2 * z
-        else:
-            length = self._length(n)
+        p = 2 * (letter - 1) if letter > 0 else -2 * letter - 1  # _pos, inlined
+        if n == 0:
+            return 1 + p
+        cum = self._cum
+        length = bisect_right(cum, n) if n < cum[-1] else self._length(n)
         span = self._pow[length - 1]
         first, tail = divmod(n - cum[length - 1], span)
         cancel = p + 1 if p % 2 == 0 else p - 1  # the position of -letter
