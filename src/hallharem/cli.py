@@ -148,6 +148,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--window must be >= 1, got {args.window_size}")
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    if args.classic_defect is not None:
+        if not args.classic:
+            raise ValueError("--classic-defect needs --classic")
+        if not 0 <= args.classic_defect < args.window_size:
+            raise ValueError(
+                f"--classic-defect must lie in the window 0..{args.window_size}, "
+                f"got {args.classic_defect}"
+            )
     if args.classic:
         classic = decomposition.ClassicF2Decomp()
         classify_a = classic.a_member

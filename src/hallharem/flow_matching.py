@@ -122,13 +122,16 @@ class _Solver:
     the witness edges the residual search may not remove.  A path is kept
     as parent pointers only: the sides of an arc's ends fix its edit.
 
-    ``prepare`` finds its paths with the forward ``_bfs``: one end of each
-    is the sink, whose backward frontier is every uncovered right.  A
-    ``_force`` path joins a right to a left, so ``_meet`` grows its search
-    from both and expands the smaller frontier.  Its backward arcs read the
-    graph's right adjacency, cached on the graph and built on the first
-    backward step, and ``free``, the uncovered optional rights, which
-    ``_add`` and ``_augment`` keep in step with ``cover``.
+    ``prepare`` gives each left its first free candidates directly and
+    finds its other paths with the forward ``_bfs``: those for the partners
+    a left still lacks once its row has no free candidate, and those of
+    phase 2.  One end of each is the sink, whose backward frontier is every
+    uncovered right.  A ``_force`` path joins a right to a left, so
+    ``_meet`` grows its search from both and expands the smaller frontier.
+    Its backward arcs read the graph's right adjacency, cached on the graph
+    and built on the first backward step, and ``free``, the uncovered
+    optional rights, which ``_add`` and ``_augment`` keep in step with
+    ``cover``.
     """
 
     def __init__(self, req: MatchingRequest):
@@ -151,7 +154,14 @@ class _Solver:
         """Quick rejects, then a witness: every left gets k partners, then
         paths from the sink cover each required right.  The flow value stays
         k per left from then on: every later path takes one partner from
-        each left it passes and gives it another."""
+        each left it passes and gives it another.
+
+        A left first takes its uncovered candidates in row order, up to k.
+        That is the path ``_bfs`` from 2a would find for each: it queues
+        every candidate before any deeper node, no right is pinned yet, and
+        rights a already holds are no arc.  Phase 1 never uncovers a right,
+        so only a left whose row runs out of free candidates needs a
+        residual search for the partners it still lacks."""
         req = self.req
         if len(req.required_right) > self.k * len(self.lefts):
             return False
@@ -162,13 +172,21 @@ class _Solver:
             unreached.difference_update(self.cand[a])
         if unreached:
             return False
+        k, cover = self.k, self.cover
         for a in self.lefts:
+            got = 0
+            for b in self.cand[a]:
+                if got == k:
+                    break
+                if b not in cover:
+                    self._add(a, b)
+                    got += 1
             # A path from 2a adds one edge at a and never re-enters a.
-            for _ in range(self.k):
-                if not self._augment(2 * a, _SNK):
+            for _ in range(k - got):
+                if not self._augment(2 * a, _SNK, self._bfs):
                     return False
         for b in sorted(req.required_right):
-            if b not in self.cover and not self._augment(_SNK, 2 * b + 1):
+            if b not in self.cover and not self._augment(_SNK, 2 * b + 1, self._bfs):
                 return False
         return True
 
@@ -222,14 +240,14 @@ class _Solver:
             self.free.discard(b)
 
     def _augment(
-        self, start: int, target: int, search: Callable[..., dict[int, int] | None] = _bfs
+        self, start: int, target: int, search: Callable[[int, int], dict[int, int] | None]
     ) -> bool:
         """Reroute the witness along a start-target path found by ``search``,
         walked back from target: left->right adds that edge, right->left
         drops the right from its star, sink arcs change nothing.  Last-first,
         a rerouted right is removed from its old star before it joins the
         new one."""
-        parent = search(self, start, target)
+        parent = search(start, target)
         if parent is None:
             return False
         v = target
@@ -329,7 +347,7 @@ class _Solver:
         """Try to reroute the witness so edge (a, b) joins it: a residual
         path from 2b+1 to 2a, found by the two-ended ``_meet``, hands one of
         a's partners on and so frees a slot at a for b."""
-        if not self._augment(2 * b + 1, 2 * a, _Solver._meet):
+        if not self._augment(2 * b + 1, 2 * a, self._meet):
             return False
         self._add(a, b)
         return True

@@ -190,6 +190,24 @@ def test_verify_classic_planted_defect(capsys):
     assert "@7" in out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--classic", "--window", "10", "--classic-defect", "-3"),
+        ("--classic", "--window", "10", "--classic-defect", "50"),
+        ("--classic", "--window", "10", "--classic-defect", "10"),
+        ("--classic-defect", "7"),
+    ],
+)
+def test_verify_rejects_unchecked_defect(capsys, flags):
+    # A defect outside the window, or on the engine path, would never be
+    # checked, so the run would PASS without testing it.
+    code, out, err = run(capsys, "verify", "--what", "decomposition", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_engine_decomposition(capsys):
     code, out, _ = run(capsys, "verify", "--what", "decomposition", "--steps", "2")
     assert code == 0

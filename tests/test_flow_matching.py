@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallharem.core_graph import FiniteBipartiteGraph, Side, Vertex
+from hallharem.decomposition import ParadoxDecomp, tight_spec
 from hallharem.errors import SizeGuardError, WitnessError
 from hallharem.flow_matching import (
+    _SNK,
     HaremMatching,
     MatchingRequest,
     _Solver,
@@ -442,6 +444,86 @@ def test_two_ended_search_agrees_with_forward_bfs():
         sink_expanded += solver.free.iterations > 0
     assert answers == {True, False}
     assert sink_expanded > 0
+
+
+class _SearchPerPartnerSolver(_Solver):
+    """``prepare`` with its former phase 1: one residual search from each
+    left for each of its k partners."""
+
+    def prepare(self):
+        req = self.req
+        if len(req.required_right) > self.k * len(self.lefts):
+            return False
+        if any(len(self.cand.get(a, ())) < self.k for a in self.lefts):
+            return False
+        unreached = set(req.required_right)
+        for a in self.lefts:
+            unreached.difference_update(self.cand[a])
+        if unreached:
+            return False
+        for a in self.lefts:
+            for _ in range(self.k):
+                if not self._augment(2 * a, _SNK, self._bfs):
+                    return False
+        for b in sorted(req.required_right):
+            if b not in self.cover and not self._augment(_SNK, 2 * b + 1, self._bfs):
+                return False
+        return True
+
+
+class _CountedSolver(_Solver):
+    """Counts the residual searches that start at a left."""
+
+    left_searches = 0
+
+    def _bfs(self, start, target):
+        self.left_searches += start % 2 == 0  # the sink, -1, is odd
+        return super()._bfs(start, target)
+
+
+def witness(solver):
+    return list(solver.cover.items()), solver.unsinkable, solver.free
+
+
+def test_first_free_phase_one_keeps_witness():
+    rng = random.Random(8)
+    outcomes, fallbacks = set(), 0
+    for i in range(150):
+        n_left, k = rng.randint(5, 60), rng.randint(1, 3)
+        req = shell_request(
+            rng, n_left, k, k + rng.randint(0, 4), rng.randint(1, n_left),
+            rng.random() * 0.5, planted=i % 3 != 0,
+        )
+        new, old = _CountedSolver(req), _SearchPerPartnerSolver(req)
+        feasible = new.prepare()
+        assert feasible == old.prepare(), i
+        assert witness(new) == witness(old), i
+        outcomes.add(feasible)
+        # lefts whose rows ran out of free candidates searched for the rest
+        fallbacks += new.left_searches
+        if feasible:
+            new.greedy(None)
+            old.greedy(None)
+            assert new.matching() == old.matching() == solve_harem(req), i
+    assert outcomes == {True, False}
+    assert fallbacks > 0
+
+
+def test_f2_steps_make_no_residual_search(monkeypatch):
+    # Every left of the F2 balls at steps 0-1 finds k free candidates in its
+    # row; one search per partner made 59,370 calls here.
+    starts = []
+    bfs = _Solver._bfs
+
+    def counted(self, start, target):
+        starts.append(start)
+        return bfs(self, start, target)
+
+    monkeypatch.setattr(_Solver, "_bfs", counted)
+    decomp = ParadoxDecomp(tight_spec(2))
+    decomp.run_steps(2)
+    assert sorted(decomp.engine.stars.items()) == [(0, (0, 1)), (2, (2, 8))]
+    assert starts == []
 
 
 # -- verify_matching ----------------------------------------------------------
