@@ -35,7 +35,10 @@ def _parse_window(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise ValueError(f"window must look like 0..100, got {text!r}")
-    return range(int(lo), int(hi))
+    start, stop = int(lo), int(hi)
+    if stop < start:
+        raise ValueError(f"window {text!r} ends before it starts")
+    return range(start, stop)
 
 
 def _parse_words(rank: int, text: str) -> list[group_kit.Word]:

@@ -165,10 +165,15 @@ def extract_ball(
     """Breadth-first extraction of the induced ball around ``pivot``.
 
     Removed vertices are invisible: they are neither visited nor traversed,
-    so the result is the ball of the residual graph.  Raises ParityError on
-    a radius/side mismatch, OracleError if a queried row is not strictly
-    increasing or the rows fail symmetry on the pairs queried in both
-    directions, and BallBudgetExceeded past ``max_vertices``.
+    so the result is the ball of the residual graph.  Extraction stops at
+    the first level that finds no new vertex: the ball is then the pivot's
+    whole residual component and ``shell_right`` is empty, so an empty
+    shell means a closed residual component.  The work is thus per ball
+    vertex, not per radius level; ``radius`` on the result is still the
+    radius asked for.  Raises ParityError on a radius/side mismatch,
+    OracleError if a queried row is not strictly increasing or the rows
+    fail symmetry on the pairs queried in both directions, and
+    BallBudgetExceeded past ``max_vertices``.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -178,25 +183,24 @@ def extract_ball(
         raise ParityError(f"right pivot needs an even radius, got {radius}")
     rm_left = frozenset(removed_left)
     rm_right = frozenset(removed_right)
-    rm_home = rm_left if pivot.side is Side.LEFT else rm_right
+    home_left = pivot.side is Side.LEFT
+    rm_home, rm_away = (rm_left, rm_right) if home_left else (rm_right, rm_left)
     if pivot.index in rm_home:
         raise ValueError(f"pivot {pivot!r} is a removed vertex")
 
     # Per side, every ball vertex maps to its row once queried, else None.
     # levels[d] lists the vertices at distance d in the order they were
     # found, which is also the order the vertices of level d are queried.
-    rows: dict[Side, dict[int, tuple[int, ...] | None]] = {
-        Side.LEFT: {},
-        Side.RIGHT: {},
-    }
-    rows[pivot.side][pivot.index] = None
+    # Each level swaps the roles of the two sides' dicts and removed sets.
+    home: dict[int, tuple[int, ...] | None] = {pivot.index: None}
+    away: dict[int, tuple[int, ...] | None] = {}
     levels = [[pivot.index]]
     size = 1
-    side = pivot.side
+    side, other = pivot.side, pivot.side.opposite()
+    mine, theirs = home, away
+    skip, skip_next = rm_away, rm_home
+    shell: frozenset[int] = frozenset()
     for _ in range(radius):
-        other = side.opposite()
-        mine, theirs = rows[side], rows[other]
-        skip = rm_left if other is Side.LEFT else rm_right
         found: list[int] = []
         for i in levels[-1]:
             nbrs = oracle.neighbors(Vertex(side, i))
@@ -213,28 +217,33 @@ def extract_ball(
                         f"ball around {pivot!r} exceeds {max_vertices} vertices"
                     )
                 found.append(j)
+        if not found:
+            break
         levels.append(found)
-        side = other
+        side, other = other, side
+        mine, theirs = theirs, mine
+        skip, skip_next = skip_next, skip
+    else:
+        shell = frozenset(levels.pop())
 
-    side = pivot.side
-    for level in levels[:radius]:
-        mine, theirs = rows[side], rows[side.opposite()]
+    # Every level left in ``levels`` had its rows queried.
+    mine, theirs, left_side = home, away, home_left
+    for level in levels:
         for i in level:
             for j in mine[i]:
                 back = theirs.get(j)
                 if back is not None and i not in back:
-                    pair = (i, j) if side is Side.LEFT else (j, i)
+                    pair = (i, j) if left_side else (j, i)
                     raise OracleError(f"{oracle.name}: asymmetric edge at {pair}")
-        side = side.opposite()
+        mine, theirs, left_side = theirs, mine, not left_side
 
-    lefts, rights = rows[Side.LEFT], rows[Side.RIGHT]
+    lefts, rights = (home, away) if home_left else (away, home)
     left_ids = tuple(sorted(lefts))
     right_ids = tuple(sorted(rights))
     # Every left vertex of the ball is strictly inside, so its full residual
     # neighborhood was queried; restrict it to the ball's right vertices.
     adjacency = {a: tuple(j for j in lefts[a] if j in rights) for a in left_ids}
     graph = FiniteBipartiteGraph(left_ids, right_ids, adjacency)
-    shell = frozenset(levels[radius])
     return BallSubgraph(graph=graph, pivot=pivot, radius=radius, shell_right=shell)
 
 

@@ -156,6 +156,15 @@ def test_decompose_bad_window(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("window", ["5..3", "1..0"])
+def test_decompose_rejects_reversed_window(capsys, window):
+    # A window ending before it starts would print a bare header and exit 0.
+    code, out, err = run(capsys, "decompose", "--classic", "--window", window)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_decompose_engine_window(capsys):
     code, out, _ = run(capsys, "decompose", "--window", "0..1")
     assert code == 0
@@ -369,6 +378,12 @@ def test_unknown_flag_rejected(capsys):
         (
             "lazy_file_planted_400_k2_right_17",
             ["lazy", "--file", str(GOLDEN / "planted_400_k2.bg"), "--right", "17"],
+            0,
+        ),
+        # the longest finite-engine run: hundreds of closed balls at radius 803
+        (
+            "lazy_file_planted_400_k2_right_399",
+            ["lazy", "--file", str(GOLDEN / "planted_400_k2.bg"), "--right", "399"],
             0,
         ),
     ],

@@ -1,3 +1,4 @@
+import random
 from collections import deque
 
 import pytest
@@ -223,6 +224,118 @@ def test_ball_detects_unsorted_row(row):
     broken = BipartiteOracle(neighbors=neighbors)
     with pytest.raises(OracleError, match="not strictly sorted"):
         extract_ball(broken, set(), set(), Vertex(Side.LEFT, 0), 1)
+
+
+def counting_oracle(graph):
+    """``graph``'s oracle, plus the list of vertices whose rows were read."""
+    inner = graph.as_oracle()
+    reads = []
+
+    def neighbors(v):
+        reads.append(v)
+        return inner.neighbors(v)
+
+    return BipartiteOracle(neighbors=neighbors), reads
+
+
+def random_finite_graph(rng):
+    n_left, n_right = rng.randint(1, 8), rng.randint(1, 10)
+    p = rng.choice((0.1, 0.25, 0.5))
+    adj = {a: [b for b in range(n_right) if rng.random() < p] for a in range(n_left)}
+    return FiniteBipartiteGraph.from_adjacency(adj, range(n_left), range(n_right))
+
+
+def test_ball_matches_brute_past_closure():
+    # Radii run from 1 to 2|L|+3, past the radius at which every residual
+    # component closes.  The rows read, in their order, are brute_ball's.
+    rng = random.Random(20261018)
+    closed = open_ = 0
+    for _ in range(250):
+        g = random_finite_graph(rng)
+        removed_left = {a for a in g.left_ids if rng.random() < 0.2}
+        removed_right = {b for b in g.right_ids if rng.random() < 0.2}
+        side = rng.choice((Side.LEFT, Side.RIGHT))
+        ids, removed = (
+            (g.left_ids, removed_left) if side is Side.LEFT else (g.right_ids, removed_right)
+        )
+        candidates = [i for i in ids if i not in removed]
+        if not candidates:
+            continue
+        pivot = Vertex(side, rng.choice(candidates))
+        component = brute_ball(g.as_oracle(), removed_left, removed_right, pivot, 10**6)
+        first = 1 if side is Side.LEFT else 2
+        for radius in range(first, 2 * len(g.left_ids) + 4, 2):
+            oracle, reads = counting_oracle(g)
+            ball = extract_ball(oracle, removed_left, removed_right, pivot, radius)
+            brute, brute_reads = counting_oracle(g)
+            dist = brute_ball(brute, removed_left, removed_right, pivot, radius)
+            lefts = sorted(i for (s, i) in dist if s is Side.LEFT)
+            rights = sorted(i for (s, i) in dist if s is Side.RIGHT)
+            assert list(ball.graph.left_ids) == lefts
+            assert list(ball.graph.right_ids) == rights
+            assert ball.graph.adjacency == {
+                a: tuple(b for b in g.neighbors_left(a) if b in rights) for a in lefts
+            }
+            shell = {i for (s, i) in dist if s is Side.RIGHT and dist[(s, i)] == radius}
+            assert ball.shell_right == shell
+            exhausted = max(component.values()) < radius
+            assert (ball.shell_right == frozenset()) == exhausted
+            assert ball.radius == radius
+            assert reads == brute_reads
+            closed += exhausted
+            open_ += not exhausted
+    assert closed > 100 and open_ > 100
+
+
+def closing_radius(oracle, pivot, limit=50):
+    """The least radius up to ``limit`` whose ball around ``pivot`` has an
+    empty shell."""
+    for radius in range(1 if pivot.side is Side.LEFT else 2, limit + 1, 2):
+        if not extract_ball(oracle, set(), set(), pivot, radius).shell_right:
+            return radius
+    raise AssertionError(f"the ball around {pivot!r} has a shell up to radius {limit}")
+
+
+@pytest.mark.parametrize("pivot", [Vertex(Side.LEFT, 0), Vertex(Side.RIGHT, 2)])
+def test_closed_ball_reads_each_row_once(pivot):
+    # Two components: the path L0-R0-L1-R1-L2-R2 and the edge L3-R3.
+    g = FiniteBipartiteGraph.from_adjacency({0: (0,), 1: (0, 1), 2: (1, 2), 3: (3,)})
+    oracle, reads = counting_oracle(g)
+    closing = closing_radius(oracle, pivot)
+    del reads[:]
+    ball = extract_ball(oracle, set(), set(), pivot, closing)
+    assert ball.shell_right == frozenset()
+    assert ball.graph.left_ids == (0, 1, 2) and ball.graph.right_ids == (0, 1, 2)
+    inside = {Vertex(Side.LEFT, a) for a in ball.graph.left_ids} | {
+        Vertex(Side.RIGHT, b) for b in ball.graph.right_ids
+    }
+    assert sorted(reads, key=repr) == sorted(inside, key=repr)
+    closing_reads = list(reads)
+    del reads[:]
+    huge = 10**6 + 1 if pivot.side is Side.LEFT else 10**6 + 2
+    far = extract_ball(oracle, set(), set(), pivot, huge)
+    assert far.graph == ball.graph and far.shell_right == frozenset()
+    assert far.radius == huge
+    assert reads == closing_reads
+
+
+@pytest.mark.parametrize(
+    "pivot, radius",
+    [(Vertex(Side.LEFT, 0), 5), (Vertex(Side.LEFT, 0), 10**6 + 1), (Vertex(Side.RIGHT, 1), 10**6)],
+)
+def test_ball_detects_asymmetry_in_closed_component(pivot, radius):
+    # L1's row lists R1 but R1's row omits L1.  From either pivot L1 is the
+    # last level queried, and finds nothing new, so only the audit of that
+    # last level can see the pair before extraction ends.
+    rows = {
+        Vertex(Side.LEFT, 0): (0, 1),
+        Vertex(Side.LEFT, 1): (0, 1),
+        Vertex(Side.RIGHT, 0): (0, 1),
+        Vertex(Side.RIGHT, 1): (0,),
+    }
+    broken = BipartiteOracle(neighbors=lambda v: rows.get(v, ()))
+    with pytest.raises(OracleError, match=r"asymmetric edge at \(1, 1\)"):
+        extract_ball(broken, set(), set(), pivot, radius)
 
 
 def test_check_symmetry_f2(f2_oracle):

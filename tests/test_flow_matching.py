@@ -248,8 +248,11 @@ def shell_request(rng, n_left, k, degree, n_shell, p_optional, planted=True):
     """k*n_left rights plus an optional shell of n_shell more, each of the
     others optional with probability p_optional.  A planted instance hides
     a perfect matching among its rows; an unplanted one has no isolated
-    right, so a degree count cannot settle it."""
+    right, so a degree count cannot settle it.  Raises ValueError when
+    ``degree`` exceeds the number of rights, as no row could reach it."""
     n_right = k * n_left + n_shell
+    if degree > n_right:
+        raise ValueError(f"degree {degree} exceeds the {n_right} rights")
     rights = list(range(n_right))
     rng.shuffle(rights)
     adj = {}
@@ -274,6 +277,13 @@ def shell_request(rng, n_left, k, degree, n_shell, p_optional, planted=True):
     return MatchingRequest(
         g, k, frozenset(g.left_ids), frozenset(g.right_ids) - optional, optional
     )
+
+
+def test_shell_request_rejects_unreachable_degree():
+    # 2 lefts at k=1 plus 1 shell right make 3 rights: degree 4 is unreachable
+    with pytest.raises(ValueError, match="degree 4 exceeds the 3 rights"):
+        shell_request(random.Random(0), 2, 1, 4, 1, 0.0)
+    assert len(shell_request(random.Random(0), 2, 1, 3, 1, 0.0).graph.right_ids) == 3
 
 
 def networkx_feasible(nx, req, forced=frozenset(), rows=None):
