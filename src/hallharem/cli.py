@@ -66,17 +66,21 @@ def cmd_finite(args: argparse.Namespace) -> int:
     return 0
 
 
+def _f2_spec(mode: str | None) -> decomposition.ActionGraphSpec:
+    """The F2 action graph that --mode names; tight when it is not given."""
+    if mode == "corollary":
+        return decomposition.corollary_spec(2)
+    return decomposition.tight_spec(2)
+
+
 def _make_engine(args: argparse.Namespace) -> harem_engine.EngineState:
     if args.graph == "f2":
-        spec = (
-            decomposition.tight_spec(2)
-            if args.mode == "tight"
-            else decomposition.corollary_spec(2)
-        )
-        oracle = decomposition.build_action_graph(spec)
+        oracle = decomposition.build_action_graph(_f2_spec(args.mode))
         k = args.k if args.k is not None else 2
         h = harem_engine.identity_witness()
     else:
+        if args.mode is not None:
+            raise ValueError("--mode needs --graph f2")
         graph, k = _load_graph(args.file, args.k)
         oracle = graph.as_oracle(name=args.file)
         h = harem_engine.vacuous_witness(len(graph.left_ids))
@@ -98,14 +102,13 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     window = _parse_window(args.window)
     provider: decomposition.DecompProvider
     if args.classic:
+        if args.mode is not None:
+            raise ValueError("--mode cannot be used with --classic")
         provider = decomposition.ClassicF2Decomp()
     else:
-        spec = (
-            decomposition.tight_spec(2)
-            if args.mode == "tight"
-            else decomposition.corollary_spec(2)
+        provider = decomposition.ParadoxDecomp(
+            _f2_spec(args.mode), max_ball_size=args.max_ball
         )
-        provider = decomposition.ParadoxDecomp(spec, max_ball_size=args.max_ball)
     out = "\n".join(decomposition.tsv_rows(provider, window)) + "\n"
     if args.out == "-":
         sys.stdout.write(out)
@@ -228,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     side = p.add_mutually_exclusive_group(required=True)
     side.add_argument("--left", type=int)
     side.add_argument("--right", type=int)
-    p.add_argument("--mode", choices=["tight", "corollary"], default="tight")
+    p.add_argument("--mode", choices=["tight", "corollary"], default=None)
     p.add_argument("--max-ball", type=int, default=harem_engine.DEFAULT_MAX_BALL)
     p.set_defaults(func=cmd_lazy)
 
@@ -236,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True, help="half-open range, e.g. 0..100")
     p.add_argument("--out", default="-")
     p.add_argument("--classic", action="store_true")
-    p.add_argument("--mode", choices=["tight", "corollary"], default="tight")
+    p.add_argument("--mode", choices=["tight", "corollary"], default=None)
     p.add_argument("--max-ball", type=int, default=harem_engine.DEFAULT_MAX_BALL)
     p.set_defaults(func=cmd_decompose)
 

@@ -82,7 +82,10 @@ class FiniteBipartiteGraph:
         for a, row in self.adjacency.items():
             if a not in left_set:
                 raise ValueError(f"adjacency key {a} not in left_ids")
-            _check_sorted_unique(row, f"adjacency[{a}]")
+            # The label is formatted only for a row that fails.
+            fault = _order_fault(row)
+            if fault is not None:
+                raise ValueError(f"adjacency[{a}] {fault}")
             if not right_set.issuperset(row):
                 raise ValueError(f"adjacency[{a}] mentions unknown right ids")
 
@@ -240,9 +243,16 @@ def extract_ball(
     lefts, rights = (home, away) if home_left else (away, home)
     left_ids = tuple(sorted(lefts))
     right_ids = tuple(sorted(rights))
-    # Every left vertex of the ball is strictly inside, so its full residual
-    # neighborhood was queried; restrict it to the ball's right vertices.
-    adjacency = {a: tuple(j for j in lefts[a] if j in rights) for a in left_ids}
+    # Every left vertex of the ball is strictly inside, so its row was read
+    # and each of its neighbors is a ball right or a removed right.  The
+    # row restricted to the ball is then the oracle's own tuple unless it
+    # meets a removed right.
+    adjacency: dict[int, tuple[int, ...]] = {}
+    for a in left_ids:
+        row = lefts[a]
+        if not rm_right.isdisjoint(row):
+            row = tuple(j for j in row if j not in rm_right)
+        adjacency[a] = row
     graph = FiniteBipartiteGraph(left_ids, right_ids, adjacency)
     return BallSubgraph(graph=graph, pivot=pivot, radius=radius, shell_right=shell)
 
@@ -325,8 +335,16 @@ def dump_bg(graph: FiniteBipartiteGraph, k: int | None = None) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _check_sorted_unique(seq: tuple[int, ...], label: str) -> None:
+def _order_fault(seq: tuple[int, ...]) -> str | None:
+    """Why ``seq`` is not a strictly increasing run of naturals, or None."""
     if not all(map(lt, seq, seq[1:])):
-        raise ValueError(f"{label} must be strictly increasing")
+        return "must be strictly increasing"
     if seq and seq[0] < 0:  # sorted, so the least entry comes first
-        raise ValueError(f"{label} must be non-negative")
+        return "must be non-negative"
+    return None
+
+
+def _check_sorted_unique(seq: tuple[int, ...], label: str) -> None:
+    fault = _order_fault(seq)
+    if fault is not None:
+        raise ValueError(f"{label} {fault}")

@@ -78,15 +78,27 @@ def corollary_spec(rank: int = 2, n: int = 1) -> ActionGraphSpec:
 def build_action_graph(spec: ActionGraphSpec) -> BipartiteOracle:
     """Both sides are the word indices; x and y are adjacent iff y lies in
     K∘x.  K is symmetric with identity, so adjacency is symmetric and every
-    index is its own neighbor."""
+    index is its own neighbor.
+
+    Rows are memoized: the left and the right row of an index coincide, so
+    the two sides share one tuple.  When K is the standard generating set
+    each row comes in closed form from ``Enumeration.generator_row``; any
+    other K folds ``act`` over its words.
+    """
     memo: dict[int, tuple[int, ...]] = {}
     k_words = spec.k_set.elements
+    # K is symmetric, distinct and holds e, so 2r+1 words of at most one
+    # letter are exactly e and the generators with their inverses.
+    if len(k_words) == 2 * spec.rank + 1 and all(len(k) <= 1 for k in k_words):
+        make_row = enumeration(spec.rank).generator_row
+    else:
+        def make_row(i: int) -> tuple[int, ...]:
+            return tuple(sorted({act(k, i) for k in k_words}))
 
     def row(i: int) -> tuple[int, ...]:
         cached = memo.get(i)
         if cached is None:
-            cached = tuple(sorted({act(k, i) for k in k_words}))
-            memo[i] = cached
+            cached = memo[i] = make_row(i)
         return cached
 
     return BipartiteOracle(

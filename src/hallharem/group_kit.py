@@ -120,6 +120,18 @@ class Enumeration:
         self.q = 2 * rank - 1  # choices per letter after the first
         self._cum = [1]  # number of words of length < L+1, starting at L=0
         self._pow = [1]  # q ** L, as far as _cum reaches
+        # _prepend_digits[f]: for a word whose first letter sits at position
+        # f, the two leading digits of p·w for each letter position p that
+        # does not cancel it, ascending in p: p itself, then f re-read
+        # against the new first letter, which skips p ^ 1.
+        self._prepend_digits = [
+            tuple(
+                p * self.q + (f if f < p ^ 1 else f - 1)
+                for p in range(2 * rank)
+                if p != f ^ 1
+            )
+            for f in range(2 * rank)
+        ]
 
     def _extend_cum(self, length: int) -> None:
         while len(self._cum) <= length:
@@ -209,6 +221,43 @@ class Enumeration:
         if first > cancel:
             first -= 1
         return cum[length] + (p * self.q + first) * span + tail
+
+    def generator_row(self, n: int) -> tuple[int, ...]:
+        """The sorted indices of s·w over s in {e} ∪ generators ∪ inverses,
+        for the word w with index n, from one decode of n.
+
+        The order needs no sort: the neighbour that cancels the first letter
+        is one letter shorter (0 when w has one letter), then comes n itself,
+        then the 2r-1 words one letter longer, ascending in the prepended
+        letter's position.
+        """
+        if n < 0:
+            raise ValueError("index must be >= 0")
+        if n == 0:
+            return tuple(range(2 * self.rank + 1))
+        if self.q == 1:
+            # Rank 1 in closed form (see act_letter): a^z and A^z step by 2.
+            return (n - 2 if n > 2 else 0, n, n + 2)
+        # The decode of act_letter, kept inline: a call here costs a tenth
+        # of the row.
+        cum = self._cum
+        length = bisect_right(cum, n) if n < cum[-1] else self._length(n)
+        span = self._pow[length - 1]
+        first, tail = divmod(n - cum[length - 1], span)
+        if length == 1:
+            row = [0, n]
+        else:
+            # The second digit ranks its letter among those that do not
+            # cancel the first, so as a position it skips first ^ 1.
+            step = self._pow[length - 2]
+            second, rest = divmod(tail, step)
+            if second >= first ^ 1:
+                second += 1
+            row = [cum[length - 2] + second * step + rest, n]
+        base = cum[length] + tail
+        for lead in self._prepend_digits[first]:
+            row.append(base + lead * span)
+        return tuple(row)
 
 
 _ENUMS: dict[int, Enumeration] = {}
@@ -371,7 +420,12 @@ def folner_search(
 ) -> frozenset[int] | None:
     """First subset of ``ground`` (smallest size, then lexicographic over
     the sorted ground) whose boundary ratio beats 1/n for every k, or None.
+    Raises ValueError for n or max_size below 1, where no search would run.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if max_size < 1:
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
     base = tuple(sorted(set(ground)))
     if len(base) > FOLNER_MAX_GROUND:
         raise SizeGuardError(f"ground capped at {FOLNER_MAX_GROUND}, got {len(base)}")

@@ -169,6 +169,24 @@ def test_decompose_engine_window(capsys):
     code, out, _ = run(capsys, "decompose", "--window", "0..1")
     assert code == 0
     assert out.splitlines()[1] == "0\te\t0\te\t1\ta\te\ta"
+    # --mode defaults to tight
+    assert run(capsys, "decompose", "--window", "0..1", "--mode", "tight") == (code, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--window", "0..3", "--classic", "--mode", "corollary"),
+        ("decompose", "--window", "0..3", "--classic", "--mode", "tight"),
+        ("lazy", "--file", str(GOLDEN / "planted_400_k2.bg"), "--right", "17", "--mode", "corollary"),
+        ("lazy", "--file", str(GOLDEN / "planted_400_k2.bg"), "--right", "17", "--mode", "tight"),
+    ],
+)
+def test_mode_rejected_where_it_has_no_effect(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 # -- verify ----------------------------------------------------------------------
@@ -351,6 +369,20 @@ def test_folner_guard_exceeded(capsys):
         "--ground-radius", "3", "--max-size", "5",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags", [("--n", "1", "--max-size", "0"), ("--n", "1", "--max-size", "-3"),
+              ("--n", "0", "--max-size", "0")]
+)
+def test_folner_rejects_search_that_cannot_run(capsys, flags):
+    # NONE would claim a search that never ran found nothing.
+    code, out, err = run(
+        capsys, "folner", "--rank", "2", "--set", "a,b", "--ground-radius", "1", *flags
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_unknown_flag_rejected(capsys):

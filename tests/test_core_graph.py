@@ -167,6 +167,29 @@ def test_f2_ball_respects_removals(f2_oracle):
     assert sorted(i for (s, i) in dist if s is Side.RIGHT) == [1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("pivot, radius", [(Vertex(Side.LEFT, 0), 5), (Vertex(Side.RIGHT, 2), 6)])
+def test_f2_ball_with_removed_rights_matches_brute(f2_oracle, pivot, radius):
+    removed_left = {5}
+    removed_right = {0, 1, 8, 14, 30, 41}
+    ball = extract_ball(f2_oracle, removed_left, removed_right, pivot, radius)
+    dist = brute_ball(f2_oracle, removed_left, removed_right, pivot, radius)
+    lefts = sorted(i for (s, i) in dist if s is Side.LEFT)
+    rights = sorted(i for (s, i) in dist if s is Side.RIGHT)
+    assert list(ball.graph.left_ids) == lefts
+    assert list(ball.graph.right_ids) == rights
+    assert ball.shell_right == {i for (s, i) in dist if s is Side.RIGHT and dist[(s, i)] == radius}
+    in_ball = set(rights)
+    restricted = 0
+    for a in lefts:
+        row = f2_oracle.neighbors(Vertex(Side.LEFT, a))
+        assert ball.graph.adjacency[a] == tuple(j for j in row if j in in_ball)
+        if removed_right.isdisjoint(row):
+            assert ball.graph.adjacency[a] is row  # shared, not copied
+        else:
+            restricted += 1
+    assert restricted > 0
+
+
 def test_f2_removals_disconnect(f2_oracle):
     # removing both copies of an index cuts every walk through it
     dist = brute_ball(f2_oracle, {0}, {0}, Vertex(Side.RIGHT, 2), 4)

@@ -1,5 +1,6 @@
 import pytest
 
+from hallharem import decomposition
 from hallharem.core_graph import Side, Vertex
 from hallharem.decomposition import (
     ActionGraphSpec,
@@ -97,6 +98,57 @@ def test_mode_consistency():
     b = build_action_graph(spec_t)
     for i in range(40):
         assert a.neighbors(Vertex(Side.LEFT, i)) == b.neighbors(Vertex(Side.LEFT, i))
+
+
+def counted_act(monkeypatch):
+    """Wrap ``decomposition.act`` where the oracle looks it up; returns the
+    list that collects one entry per call."""
+    calls = []
+
+    def counting(k, i):
+        calls.append(i)
+        return act(k, i)
+
+    monkeypatch.setattr(decomposition, "act", counting)
+    return calls
+
+
+def act_fold_row(k_set, i):
+    return tuple(sorted({act(k, i) for k in k_set.elements}))
+
+
+WINDOW = [*range(400), 10**15, 3**40 - 1, 3**40]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_tight_rows_in_closed_form(monkeypatch, rank):
+    spec = tight_spec(rank)
+    oracle = build_action_graph(spec)
+    calls = counted_act(monkeypatch)
+    for side in Side:
+        for i in WINDOW:
+            assert oracle.neighbors(Vertex(side, i)) == act_fold_row(spec.k_set, i)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        corollary_spec(2, n=1),
+        # 3 words of at most one letter in rank 2: not the standard set
+        ActionGraphSpec(
+            2, GeneratorSet.symmetrized(2, [w2("a")]), 2, 1, "tight",
+            GeneratorSet.symmetrized(2, [w2("a")]),
+        ),
+    ],
+    ids=["corollary", "a-only"],
+)
+def test_other_word_sets_fold_act(monkeypatch, spec):
+    oracle = build_action_graph(spec)
+    calls = counted_act(monkeypatch)
+    for i in range(200):
+        assert oracle.neighbors(Vertex(Side.LEFT, i)) == act_fold_row(spec.k_set, i)
+    assert len(calls) == 200 * len(spec.k_set.elements)
 
 
 # -- engine-backed decomposition -------------------------------------------------

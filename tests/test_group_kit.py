@@ -269,6 +269,23 @@ def test_head_reads_first_letter_and_tail():
         assert (tail == 0) == (letters[1:] == (least,) * (len(letters) - 1))
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_generator_row_matches_word_level_reference(rank):
+    e = Enumeration(rank)
+    gens = GeneratorSet.standard(rank).elements
+    for n in [0, *fixed_indices(rank)]:
+        assert e.generator_row(n) == tuple(sorted({word_level_act(s, n) for s in gens})), n
+
+
+def test_generator_row_rank1_closed_form_and_negative_index():
+    e = Enumeration(1)
+    assert e.generator_row(10**18) == (10**18 - 2, 10**18, 10**18 + 2)
+    assert len(e._cum) == 1
+    for rank in (1, 2, 3):
+        with pytest.raises(ValueError):
+            Enumeration(rank).generator_row(-1)
+
+
 def test_act_injective_into_larger_ball():
     r = GeneratorSet.standard(2)
     w = w2("ab")
