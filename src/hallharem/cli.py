@@ -41,6 +41,18 @@ def _parse_window(text: str) -> range:
     return range(start, stop)
 
 
+def _refuse(why: str, **given: object) -> None:
+    """Reject each given flag that the chosen mode would not read, rather
+    than ignore it; a flag not given is None (False for a switch)."""
+    for flag, value in given.items():
+        if value is not None and value is not False:
+            raise ValueError(f"--{flag.replace('_', '-')} {why}")
+
+
+def _max_ball(args: argparse.Namespace) -> int:
+    return harem_engine.DEFAULT_MAX_BALL if args.max_ball is None else args.max_ball
+
+
 def _parse_words(rank: int, text: str) -> list[group_kit.Word]:
     return [group_kit.parse_word(rank, tok) for tok in text.split(",") if tok.strip()]
 
@@ -79,12 +91,11 @@ def _make_engine(args: argparse.Namespace) -> harem_engine.EngineState:
         k = args.k if args.k is not None else 2
         h = harem_engine.identity_witness()
     else:
-        if args.mode is not None:
-            raise ValueError("--mode needs --graph f2")
+        _refuse("needs --graph f2", mode=args.mode)
         graph, k = _load_graph(args.file, args.k)
         oracle = graph.as_oracle(name=args.file)
         h = harem_engine.vacuous_witness(len(graph.left_ids))
-    return harem_engine.EngineState(oracle, k=k, h=h, max_ball_size=args.max_ball)
+    return harem_engine.EngineState(oracle, k=k, h=h, max_ball_size=_max_ball(args))
 
 
 def cmd_lazy(args: argparse.Namespace) -> int:
@@ -102,12 +113,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     window = _parse_window(args.window)
     provider: decomposition.DecompProvider
     if args.classic:
-        if args.mode is not None:
-            raise ValueError("--mode cannot be used with --classic")
+        _refuse("cannot be used with --classic", mode=args.mode, max_ball=args.max_ball)
         provider = decomposition.ClassicF2Decomp()
     else:
         provider = decomposition.ParadoxDecomp(
-            _f2_spec(args.mode), max_ball_size=args.max_ball
+            _f2_spec(args.mode), max_ball_size=_max_ball(args)
         )
     out = "\n".join(decomposition.tsv_rows(provider, window)) + "\n"
     if args.out == "-":
@@ -136,6 +146,8 @@ def _parse_matching(text: str) -> flow_matching.HaremMatching:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.what == "matching":
+        _refuse("needs --what decomposition", window=args.window_size, classic=args.classic,
+                classic_defect=args.classic_defect, steps=args.steps, max_ball=args.max_ball)
         if args.file is None or args.matching is None:
             raise ValueError("matching verification needs --file and --matching")
         graph, k = _load_graph(args.file, args.k)
@@ -150,32 +162,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for v in report.violations:
             print(f"  {v}")
         return 1
-    if args.window_size < 1:
-        raise ValueError(f"--window must be >= 1, got {args.window_size}")
-    if args.steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {args.steps}")
-    if args.classic_defect is not None:
-        if not args.classic:
-            raise ValueError("--classic-defect needs --classic")
-        if not 0 <= args.classic_defect < args.window_size:
-            raise ValueError(
-                f"--classic-defect must lie in the window 0..{args.window_size}, "
-                f"got {args.classic_defect}"
-            )
+    _refuse("needs --what matching", file=args.file, k=args.k, matching=args.matching)
     if args.classic:
+        _refuse("cannot be used with --classic", steps=args.steps, max_ball=args.max_ball)
+        window = 1000 if args.window_size is None else args.window_size
+        if window < 1:
+            raise ValueError(f"--window must be >= 1, got {window}")
         classic = decomposition.ClassicF2Decomp()
         classify_a = classic.a_member
         if args.classic_defect is not None:
+            if not 0 <= args.classic_defect < window:
+                raise ValueError(
+                    f"--classic-defect must lie in the window 0..{window}, "
+                    f"got {args.classic_defect}"
+                )
             classify_a = decomposition.planted_defect_classifier(
                 classic.a_member, args.classic_defect, classic.k_set.elements[-1]
             )
         report = decomposition.verify_decomposition(
-            classify_a, classic.b_member, classic.k_set, args.window_size
+            classify_a, classic.b_member, classic.k_set, window
         )
     else:
+        _refuse("needs --classic", window=args.window_size, classic_defect=args.classic_defect)
+        steps = 2 if args.steps is None else args.steps
+        if steps < 1:
+            raise ValueError(f"--steps must be >= 1, got {steps}")
         spec = decomposition.tight_spec(2)
-        decomp = decomposition.ParadoxDecomp(spec, max_ball_size=args.max_ball)
-        decomp.run_steps(args.steps)
+        decomp = decomposition.ParadoxDecomp(spec, max_ball_size=_max_ball(args))
+        decomp.run_steps(steps)
         report = decomposition.verify_engine_window(decomp)
     if report.ok:
         print(f"PASS ({report.checked} indices)")
@@ -232,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     side.add_argument("--left", type=int)
     side.add_argument("--right", type=int)
     p.add_argument("--mode", choices=["tight", "corollary"], default=None)
-    p.add_argument("--max-ball", type=int, default=harem_engine.DEFAULT_MAX_BALL)
+    p.add_argument("--max-ball", type=int, default=None)
     p.set_defaults(func=cmd_lazy)
 
     p = sub.add_parser("decompose", help="dump a decomposition window as TSV")
@@ -240,19 +254,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--classic", action="store_true")
     p.add_argument("--mode", choices=["tight", "corollary"], default=None)
-    p.add_argument("--max-ball", type=int, default=harem_engine.DEFAULT_MAX_BALL)
+    p.add_argument("--max-ball", type=int, default=None)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="verify a decomposition or a matching")
     p.add_argument("--what", choices=["decomposition", "matching"], required=True)
-    p.add_argument("--window", dest="window_size", type=int, default=1000)
+    p.add_argument("--window", dest="window_size", type=int, default=None)
     p.add_argument("--classic", action="store_true")
     p.add_argument("--classic-defect", type=int, default=None)
-    p.add_argument("--steps", type=int, default=2)
+    p.add_argument("--steps", type=int, default=None)
     p.add_argument("--file")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--matching")
-    p.add_argument("--max-ball", type=int, default=harem_engine.DEFAULT_MAX_BALL)
+    p.add_argument("--max-ball", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("wbt", help="decide whether a word set is a paradox witness")

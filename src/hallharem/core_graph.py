@@ -174,9 +174,9 @@ def extract_ball(
     shell means a closed residual component.  The work is thus per ball
     vertex, not per radius level; ``radius`` on the result is still the
     radius asked for.  Raises ParityError on a radius/side mismatch,
-    OracleError if a queried row is not strictly increasing or the rows
-    fail symmetry on the pairs queried in both directions, and
-    BallBudgetExceeded past ``max_vertices``.
+    OracleError if a queried row is not a strictly increasing run of
+    naturals or the rows fail symmetry on the pairs queried in both
+    directions, and BallBudgetExceeded past ``max_vertices``.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -209,6 +209,8 @@ def extract_ball(
             nbrs = oracle.neighbors(Vertex(side, i))
             if not all(map(lt, nbrs, nbrs[1:])):
                 raise OracleError(f"{oracle.name}: neighbors({side.value}{i}) not strictly sorted")
+            if nbrs and nbrs[0] < 0:  # sorted, so the least entry comes first
+                raise OracleError(f"{oracle.name}: neighbors({side.value}{i}) has a negative index")
             mine[i] = nbrs
             for j in nbrs:
                 if j in skip or j in theirs:

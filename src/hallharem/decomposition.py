@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Protocol
 
 from .core_graph import BipartiteOracle
@@ -32,47 +33,41 @@ class ActionGraphSpec:
     """Recipe for the action graph of a rank-m free group.
 
     In tight mode the edge set K is the generating ball itself (n1 = 1);
-    corollary mode takes the n1-fold product K = R^n1 where n1 satisfies
-    (1 + 1/n)^n1 >= 3 exactly, trading a denser graph for the generic
-    expansion argument.
+    corollary mode takes the n1-fold product K = R^n1 where n1 is the least
+    with (1 + 1/n)^n1 >= 3 exactly, trading a denser graph for the generic
+    expansion argument.  ``n1`` and ``k_set`` follow from the fields.
     """
 
     rank: int
     r_set: GeneratorSet
     n: int
-    n1: int
     mode: str
-    k_set: GeneratorSet
 
     def __post_init__(self) -> None:
         if self.mode not in ("tight", "corollary"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.n < 1 or self.n1 < 1:
-            raise ValueError("n and n1 must be >= 1")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+
+    @cached_property
+    def n1(self) -> int:
+        n1 = 1
         if self.mode == "corollary":
-            if (1 + Fraction(1, self.n)) ** self.n1 < 3:
-                raise ValueError(f"(1 + 1/{self.n})^{self.n1} < 3")
-            if self.k_set != self.r_set.power(self.n1):
-                raise ValueError("corollary mode requires k_set = r_set^n1")
-        elif self.k_set != self.r_set:
-            raise ValueError("tight mode requires k_set = r_set")
+            while (1 + Fraction(1, self.n)) ** n1 < 3:
+                n1 += 1
+        return n1
+
+    @cached_property
+    def k_set(self) -> GeneratorSet:
+        return self.r_set if self.n1 == 1 else self.r_set.power(self.n1)
 
 
 def tight_spec(rank: int = 2) -> ActionGraphSpec:
-    r = GeneratorSet.standard(rank)
-    return ActionGraphSpec(
-        rank=rank, r_set=r, n=TIGHT_EXPANSION_N, n1=1, mode="tight", k_set=r
-    )
+    return ActionGraphSpec(rank, GeneratorSet.standard(rank), TIGHT_EXPANSION_N, "tight")
 
 
 def corollary_spec(rank: int = 2, n: int = 1) -> ActionGraphSpec:
-    r = GeneratorSet.standard(rank)
-    n1 = 1
-    while (1 + Fraction(1, n)) ** n1 < 3:
-        n1 += 1
-    return ActionGraphSpec(
-        rank=rank, r_set=r, n=n, n1=n1, mode="corollary", k_set=r.power(n1)
-    )
+    return ActionGraphSpec(rank, GeneratorSet.standard(rank), n, "corollary")
 
 
 def build_action_graph(spec: ActionGraphSpec) -> BipartiteOracle:
@@ -108,6 +103,8 @@ def build_action_graph(spec: ActionGraphSpec) -> BipartiteOracle:
 
 
 class DecompProvider(Protocol):
+    rank: int
+
     def psi(self, m: int) -> tuple[int, int]: ...
 
     def theta(self, m: int, which: int) -> Word: ...
@@ -125,6 +122,7 @@ class ParadoxDecomp:
 
     def __init__(self, spec: ActionGraphSpec, max_ball_size: int = DEFAULT_MAX_BALL):
         self.spec = spec
+        self.rank = spec.rank
         self.oracle = build_action_graph(spec)
         self.engine = EngineState(
             self.oracle, k=2, h=identity_witness(), max_ball_size=max_ball_size
@@ -142,15 +140,6 @@ class ParadoxDecomp:
             if act(k, m) == target:
                 return k
         raise InternalError(f"no word of K maps {m} to its partner {target}")
-
-    def a_member(self, k: Word, m: int) -> bool:
-        return self.theta(m, 1) == k
-
-    def b_member(self, k: Word, m: int) -> bool:
-        return self.theta(m, 2) == k
-
-    def committed_lefts(self) -> tuple[int, ...]:
-        return tuple(sorted(self.engine.stars))
 
     def run_steps(self, count: int) -> None:
         for _ in range(count):
@@ -187,22 +176,14 @@ class ClassicF2Decomp:
             return _TRUNK
         return _PIECES[first]
 
-    def in_adjusted_wa(self, m: int) -> bool:
-        return self.piece(m) in (_WA, _TRUNK)
-
-    def in_wb(self, m: int) -> bool:
-        return self.piece(m) == _WB
-
     def psi(self, m: int) -> tuple[int, int]:
-        p1 = m if self.in_adjusted_wa(m) else act(self._a_inv, m)
-        p2 = m if self.in_wb(m) else act(self._b_inv, m)
-        return p1, p2
+        return act(self.theta(m, 1), m), act(self.theta(m, 2), m)
 
     def theta(self, m: int, which: int) -> Word:
         if which == 1:
-            return self._id if self.in_adjusted_wa(m) else self._a_inv
+            return self._id if self.piece(m) in (_WA, _TRUNK) else self._a_inv
         if which == 2:
-            return self._id if self.in_wb(m) else self._b_inv
+            return self._id if self.piece(m) == _WB else self._b_inv
         raise ValueError("which must be 1 or 2")
 
     def a_member(self, k: Word, m: int) -> bool:
@@ -322,9 +303,10 @@ def verify_engine_window(decomp: ParadoxDecomp) -> DecompReport:
 TSV_HEADER = "index\tword\tpsi1\tpsi1_word\tpsi2\tpsi2_word\ttheta1\ttheta2"
 
 
-def tsv_rows(provider: DecompProvider, window: range, rank: int = 2) -> Iterable[str]:
-    """Deterministic TSV dump of a decomposition over an index window."""
-    e = enumeration(rank)
+def tsv_rows(provider: DecompProvider, window: range) -> Iterable[str]:
+    """Deterministic TSV dump of a decomposition over an index window, its
+    indices read as words of the provider's rank."""
+    e = enumeration(provider.rank)
     yield TSV_HEADER
     for m in window:
         p1, p2 = provider.psi(m)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterator
 
 from .core_graph import FiniteBipartiteGraph, Side, Vertex
@@ -73,22 +72,10 @@ class HaremMatching:
 
     A solved request gives every left vertex exactly k partners, every
     required right vertex one star and every optional right vertex at most
-    one; ``verify_matching`` checks any star map against a request.  Each
-    right index appears in at most one star, so the right-to-left
-    ``inverse`` map is well defined.
+    one; ``verify_matching`` checks any star map against a request.
     """
 
     stars: dict[int, tuple[int, ...]]
-
-    @cached_property
-    def inverse(self) -> dict[int, int]:
-        inv: dict[int, int] = {}
-        for a, star in self.stars.items():
-            for b in star:
-                if b in inv:
-                    raise ValueError(f"right vertex {b} lies in two stars")
-                inv[b] = a
-        return inv
 
 
 @dataclass(frozen=True)
@@ -151,31 +138,28 @@ class _Solver:
     # -- feasibility ------------------------------------------------------
 
     def prepare(self) -> bool:
-        """Quick rejects, then a witness: every left gets k partners, then
-        paths from the sink cover each required right.  The flow value stays
-        k per left from then on: every later path takes one partner from
-        each left it passes and gives it another.
+        """A count test, then a witness: every left gets k partners, then
+        paths from the sink cover each required right; False if either
+        fails.  The flow value stays k per left from then on: every later
+        path takes one partner from each left it passes and gives it another.
 
         A left first takes its uncovered candidates in row order, up to k.
         That is the path ``_bfs`` from 2a would find for each: it queues
         every candidate before any deeper node, no right is pinned yet, and
         rights a already holds are no arc.  Phase 1 never uncovers a right,
         so only a left whose row runs out of free candidates needs a
-        residual search for the partners it still lacks."""
+        residual search for the partners it still lacks.  A row shorter
+        than k fails at once; a required right no row lists, in phase 2."""
         req = self.req
         if len(req.required_right) > self.k * len(self.lefts):
             return False
-        if any(len(self.cand.get(a, ())) < self.k for a in self.lefts):
-            return False
-        unreached = set(req.required_right)
-        for a in self.lefts:
-            unreached.difference_update(self.cand[a])
-        if unreached:
-            return False
         k, cover = self.k, self.cover
         for a in self.lefts:
+            row = self.cand.get(a, ())  # an isolated left has no row
+            if len(row) < k:
+                return False
             got = 0
-            for b in self.cand[a]:
+            for b in row:
                 if got == k:
                     break
                 if b not in cover:

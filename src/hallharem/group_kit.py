@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptySetError, RankMismatch, SizeGuardError
 
@@ -64,10 +64,6 @@ class Word:
 
 def identity(rank: int) -> Word:
     return Word(rank, ())
-
-
-def generator(rank: int, g: int, sign: int = 1) -> Word:
-    return Word(rank, (g if sign > 0 else -g,))
 
 
 def reduce(rank: int, letters: Iterable[int]) -> Word:
@@ -317,7 +313,7 @@ class GeneratorSet:
     @staticmethod
     def standard(rank: int) -> "GeneratorSet":
         return GeneratorSet.symmetrized(
-            rank, [generator(rank, g) for g in range(1, rank + 1)]
+            rank, [Word(rank, (g,)) for g in range(1, rank + 1)]
         )
 
     def power(self, n: int) -> "GeneratorSet":
@@ -332,13 +328,6 @@ class GeneratorSet:
 class OverCap:
     """Sentinel: the distance exceeds the requested cap (possibly infinite)."""
 
-    _instance: "OverCap | None" = None
-
-    def __new__(cls) -> "OverCap":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "OverCap"
 
@@ -346,28 +335,32 @@ class OverCap:
 OVER_CAP = OverCap()
 
 
+def _levels(r_set: GeneratorSet, center: int) -> Iterator[list[int]]:
+    """The points at exactly 0, 1, 2, ... steps from ``center``, one level
+    at a time, found breadth first over ``act``; ends at the first empty one.
+    Each level is computed only when asked for."""
+    seen = {center}
+    level = [center]
+    while level:
+        yield level
+        found = []
+        for z in level:
+            for g in r_set.elements:
+                w = act(g, z)
+                if w not in seen:
+                    seen.add(w)
+                    found.append(w)
+        level = found
+
+
 def d_r(r_set: GeneratorSet, x: int, y: int, cap: int) -> int | OverCap:
     """Least number of applications of elements of ``r_set`` mapping x to y,
     computed by breadth-first search; OVER_CAP if more than ``cap``."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    if x == y:
-        return 0
-    frontier = {x}
-    seen = {x}
-    for dist in range(1, cap + 1):
-        nxt = set()
-        for z in frontier:
-            for g in r_set.elements:
-                w = act(g, z)
-                if w == y:
-                    return dist
-                if w not in seen:
-                    seen.add(w)
-                    nxt.add(w)
-        frontier = nxt
-        if not frontier:
-            break
+    for dist, level in zip(range(cap + 1), _levels(r_set, x)):
+        if y in level:
+            return dist
     return OVER_CAP
 
 
@@ -375,20 +368,10 @@ def ball(r_set: GeneratorSet, center: int, radius: int) -> tuple[int, ...]:
     """All points within ``radius`` steps of ``center``, sorted."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    seen = {center}
-    frontier = {center}
-    for _ in range(radius):
-        nxt = set()
-        for z in frontier:
-            for g in r_set.elements:
-                w = act(g, z)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.add(w)
-        frontier = nxt
-        if not frontier:
-            break
-    return tuple(sorted(seen))
+    points: list[int] = []
+    for _, level in zip(range(radius + 1), _levels(r_set, center)):
+        points.extend(level)
+    return tuple(sorted(points))
 
 
 # -- boundary ratios and paradox witnesses --------------------------------

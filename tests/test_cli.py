@@ -189,6 +189,37 @@ def test_mode_rejected_where_it_has_no_effect(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--what", "decomposition", "--steps", "1", "--window", "7"),
+        ("verify", "--what", "decomposition", "--classic", "--window", "20", "--steps", "9"),
+        ("verify", "--what", "decomposition", "--classic", "--window", "20", "--max-ball", "3"),
+        (
+            "verify", "--what", "matching", "--file", str(GOLDEN / "planted_400_k2.bg"),
+            "--matching", str(GOLDEN / "finite_planted_400_k2.out"), "--classic", "--steps", "3",
+        ),
+        ("verify", "--what", "decomposition", "--steps", "1", "--file", "nonexist.bg"),
+        ("verify", "--what", "decomposition", "--steps", "1", "--k", "3", "--matching", "x"),
+        ("decompose", "--window", "0..2", "--classic", "--max-ball", "1"),
+    ],
+)
+def test_flag_rejected_where_it_has_no_effect(capsys, argv):
+    # A run that ignored the flag would report on something else than asked.
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--" in err
+
+
+def test_verify_defaults(capsys):
+    # Unset flags resolve to 2 engine steps and a classic window of 1000.
+    assert run(capsys, "verify", "--what", "decomposition") == (0, "PASS (2 indices)\n", "")
+    assert run(capsys, "verify", "--what", "decomposition", "--classic") == (
+        0, "PASS (1000 indices)\n", ""
+    )
+
+
 # -- verify ----------------------------------------------------------------------
 
 

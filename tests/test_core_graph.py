@@ -249,6 +249,40 @@ def test_ball_detects_unsorted_row(row):
         extract_ball(broken, set(), set(), Vertex(Side.LEFT, 0), 1)
 
 
+@pytest.mark.parametrize("radius", [1, 3])
+def test_ball_detects_negative_index(radius):
+    # Named as the oracle's fault, before a ball or a Vertex is built from it.
+    def neighbors(v):
+        return (-1, 0) if v.side is Side.LEFT else (0,)
+
+    broken = BipartiteOracle(neighbors=neighbors, name="neg")
+    with pytest.raises(OracleError, match=r"neg: neighbors\(L0\) has a negative index"):
+        extract_ball(broken, set(), set(), Vertex(Side.LEFT, 0), radius)
+
+
+@pytest.mark.parametrize(
+    "left_ids, right_ids, adjacency, message",
+    [
+        ((1, 0), (0,), {}, "left_ids must be strictly increasing"),
+        ((0, 0), (0,), {}, "left_ids must be strictly increasing"),
+        ((0,), (1, 0), {}, "right_ids must be strictly increasing"),
+        ((0,), (0, 0), {}, "right_ids must be strictly increasing"),
+        ((-1, 0), (0,), {}, "left_ids must be non-negative"),
+        ((0,), (-1, 0), {}, "right_ids must be non-negative"),
+        ((0,), (0,), {1: (0,)}, "adjacency key 1 not in left_ids"),
+        ((0,), (0, 1), {0: (1, 0)}, r"adjacency\[0\] must be strictly increasing"),
+        ((0,), (0,), {0: (0, 1)}, r"adjacency\[0\] mentions unknown right ids"),
+    ],
+    ids=[
+        "unsorted-left", "repeated-left", "unsorted-right", "repeated-right",
+        "negative-left", "negative-right", "unknown-key", "unsorted-row", "unknown-right",
+    ],
+)
+def test_finite_graph_rejects_malformed_input(left_ids, right_ids, adjacency, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FiniteBipartiteGraph(left_ids, right_ids, adjacency)
+
+
 def counting_oracle(graph):
     """``graph``'s oracle, plus the list of vertices whose rows were read."""
     inner = graph.as_oracle()

@@ -57,12 +57,24 @@ def test_corollary_spec_arithmetic():
 
 def test_spec_validation():
     r = GeneratorSet.standard(2)
-    with pytest.raises(ValueError):
-        ActionGraphSpec(2, r, 1, 1, "corollary", r)  # 2^1 < 3
-    with pytest.raises(ValueError):
-        ActionGraphSpec(2, r, 1, 2, "corollary", r)  # k_set must be r^2
-    with pytest.raises(ValueError):
-        ActionGraphSpec(2, r, 2, 1, "tight", r.power(2))
+    with pytest.raises(ValueError, match="unknown mode"):
+        ActionGraphSpec(2, r, 1, "loose")
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        ActionGraphSpec(2, r, 0, "corollary")
+
+
+def test_spec_derives_n1_and_k_set():
+    # n1 and K follow from mode, n and R, so no spec can contradict them
+    r = GeneratorSet.standard(2)
+    tight = ActionGraphSpec(2, r, 5, "tight")
+    assert tight.n1 == 1 and tight.k_set == r
+    spec = ActionGraphSpec(2, r, 1, "corollary")
+    assert spec.n1 == 2 and spec.k_set == r.power(2)
+    assert spec == corollary_spec(2, n=1)
+    with pytest.raises(TypeError):
+        ActionGraphSpec(2, r, 1, 2, "corollary", r)
+    with pytest.raises(AttributeError):
+        spec.n1 = 1
 
 
 def test_action_graph_neighbors_pin():
@@ -93,7 +105,7 @@ def test_mode_consistency():
     # (n=1, n1=2) equals the tight graph over the squared generating set
     spec_c = corollary_spec(2, n=1)
     squared = GeneratorSet.standard(2).power(2)
-    spec_t = ActionGraphSpec(2, squared, 2, 1, "tight", squared)
+    spec_t = ActionGraphSpec(2, squared, 2, "tight")
     a = build_action_graph(spec_c)
     b = build_action_graph(spec_t)
     for i in range(40):
@@ -136,10 +148,7 @@ def test_tight_rows_in_closed_form(monkeypatch, rank):
     [
         corollary_spec(2, n=1),
         # 3 words of at most one letter in rank 2: not the standard set
-        ActionGraphSpec(
-            2, GeneratorSet.symmetrized(2, [w2("a")]), 2, 1, "tight",
-            GeneratorSet.symmetrized(2, [w2("a")]),
-        ),
+        ActionGraphSpec(2, GeneratorSet.symmetrized(2, [w2("a")]), 2, "tight"),
     ],
     ids=["corollary", "a-only"],
 )
@@ -168,7 +177,7 @@ def test_engine_theta_pins(f2_decomp):
 
 
 def test_engine_theta_soundness(f2_decomp):
-    for m in f2_decomp.committed_lefts():
+    for m in f2_decomp.engine.stars:
         p1, p2 = f2_decomp.psi(m)
         assert act(f2_decomp.theta(m, 1), m) == p1
         assert act(f2_decomp.theta(m, 2), m) == p2
@@ -177,16 +186,16 @@ def test_engine_theta_soundness(f2_decomp):
 
 def test_engine_psi_within_one_step(f2_decomp):
     r = f2_decomp.spec.r_set
-    for m in f2_decomp.committed_lefts():
+    for m in f2_decomp.engine.stars:
         for p in f2_decomp.psi(m):
             assert d_r(r, m, p, 1) in (0, 1)
 
 
 def test_engine_membership_partition(f2_decomp):
     k_set = f2_decomp.spec.k_set
-    for m in f2_decomp.committed_lefts():
-        assert sum(f2_decomp.a_member(k, m) for k in k_set.elements) == 1
-        assert sum(f2_decomp.b_member(k, m) for k in k_set.elements) == 1
+    for m in f2_decomp.engine.stars:
+        assert sum(f2_decomp.theta(m, 1) == k for k in k_set.elements) == 1
+        assert sum(f2_decomp.theta(m, 2) == k for k in k_set.elements) == 1
 
 
 def test_engine_window_verifies(f2_decomp):
@@ -197,8 +206,8 @@ def test_engine_window_verifies(f2_decomp):
 
 def test_engine_images_partition_removed(f2_decomp):
     eng = f2_decomp.engine
-    images1 = {f2_decomp.psi(m)[0] for m in f2_decomp.committed_lefts()}
-    images2 = {f2_decomp.psi(m)[1] for m in f2_decomp.committed_lefts()}
+    images1 = {f2_decomp.psi(m)[0] for m in eng.stars}
+    images2 = {f2_decomp.psi(m)[1] for m in eng.stars}
     assert not images1 & images2
     assert images1 | images2 == eng.removed_right
 
@@ -248,13 +257,12 @@ def test_classic_pieces():
 def test_classic_two_sided_split_on_window():
     # X = P1 |_| a*P2 and X = W(b) |_| b*W(B): pointwise, m falls outside the
     # untranslated piece exactly when its preimage lies in the shifted piece
+    # (theta is e exactly on the untranslated piece)
     classic = ClassicF2Decomp()
-    a, b = w2("a"), w2("b")
+    a, b, e = w2("a"), w2("b"), w2("e")
     for m in range(3000):
-        assert (not classic.in_adjusted_wa(m)) == (
-            classic.piece(act(inv(a), m)) == "W(A)"
-        )
-        assert (not classic.in_wb(m)) == (classic.piece(act(inv(b), m)) == "W(B)")
+        assert (classic.theta(m, 1) != e) == (classic.piece(act(inv(a), m)) == "W(A)")
+        assert (classic.theta(m, 2) != e) == (classic.piece(act(inv(b), m)) == "W(B)")
 
 
 def test_classic_verifies_on_window():
@@ -309,15 +317,13 @@ def test_certificate_f2_n1_fails_on_balls():
     # with n = 1 the displaced part must be the whole set; only the
     # singleton ball manages that
     r = GeneratorSet.standard(2)
-    spec = ActionGraphSpec(2, r, 1, 2, "corollary", r.power(2))
+    spec = ActionGraphSpec(2, r, 1, "corollary")
     fam = [ball(r, 0, radius) for radius in range(3)]
     assert [is_folner(spec.r_set.elements, spec.n, f) for f in fam] == [False, True, True]
 
 
 def test_certificate_rank1_contrast():
-    spec_z = ActionGraphSpec(
-        1, GeneratorSet.standard(1), 3, 1, "tight", GeneratorSet.standard(1)
-    )
+    spec_z = ActionGraphSpec(1, GeneratorSet.standard(1), 3, "tight")
     fam = [ball(spec_z.r_set, 0, r) for r in range(2, 4)]
     assert all(is_folner(spec_z.r_set.elements, spec_z.n, f) for f in fam)
 
@@ -358,3 +364,17 @@ def test_tsv_window_empty():
     classic = ClassicF2Decomp()
     rows = list(tsv_rows(classic, range(0, 0)))
     assert len(rows) == 1  # header only
+
+
+def test_tsv_reads_words_in_the_providers_rank():
+    class Rank3Stub:
+        rank = 3
+
+        def psi(self, m):
+            return 5, 6
+
+        def theta(self, m, which):
+            return parse_word(3, "e")
+
+    rows = list(tsv_rows(Rank3Stub(), range(0, 1)))
+    assert rows[1] == "0\te\t5\tc\t6\tC\te\te"
