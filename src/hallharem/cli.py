@@ -54,7 +54,10 @@ def _max_ball(args: argparse.Namespace) -> int:
 
 
 def _parse_words(rank: int, text: str) -> list[group_kit.Word]:
-    return [group_kit.parse_word(rank, tok) for tok in text.split(",") if tok.strip()]
+    words = [group_kit.parse_word(rank, tok) for tok in text.split(",") if tok.strip()]
+    if not words:
+        raise ValueError(f"--set {text!r} names no word")
+    return words
 
 
 def cmd_finite(args: argparse.Namespace) -> int:
@@ -87,8 +90,17 @@ def _f2_spec(mode: str | None) -> decomposition.ActionGraphSpec:
 
 def _make_engine(args: argparse.Namespace) -> harem_engine.EngineState:
     if args.graph == "f2":
-        oracle = decomposition.build_action_graph(_f2_spec(args.mode))
+        spec = _f2_spec(args.mode)
         k = args.k if args.k is not None else 2
+        # Every finite X of the tree has |R·X| >= 3|X| + 2, with equality on
+        # balls, so K = R^n1 backs the identity witness iff k <= 3^n1 - 1.
+        k_max = 3**spec.n1 - 1
+        if k > k_max:
+            raise ValueError(
+                f"--k {k}: F2 in {spec.mode} mode backs the identity witness "
+                f"only for k <= {k_max}"
+            )
+        oracle = decomposition.build_action_graph(spec)
         h = harem_engine.identity_witness()
     else:
         _refuse("needs --graph f2", mode=args.mode)

@@ -299,6 +299,8 @@ def parse_bg(text: str | bytes) -> tuple[FiniteBipartiteGraph, int | None]:
             i = int(head.strip())
         except ValueError:
             raise ParseError(line_no, f"bad left index: {head.strip()!r}") from None
+        if i < 0:
+            raise ParseError(line_no, "left index must be >= 0")
         if i <= last_left:
             raise ParseError(line_no, f"left index {i} not strictly increasing")
         try:
@@ -327,7 +329,13 @@ def load_finite_graph(text: str | bytes) -> FiniteBipartiteGraph:
 
 
 def dump_bg(graph: FiniteBipartiteGraph, k: int | None = None) -> str:
-    """Serialize a finite graph to the .bg format (inverse of parse_bg)."""
+    """Serialize a finite graph to the .bg format, which parse_bg reads
+    back with the same vertices and edges.  A .bg file lists a right vertex
+    only through its edges, so a graph with an isolated right raises
+    ValueError rather than lose it."""
+    unlisted = sorted(set(graph.right_ids).difference(*graph.adjacency.values()))
+    if unlisted:
+        raise ValueError(f"the .bg format cannot list isolated right ids {unlisted}")
     lines = []
     if k is not None:
         lines.append(f"k {k}")

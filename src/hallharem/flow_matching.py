@@ -102,12 +102,14 @@ class _Solver:
 
     A left may take a candidate outside its star, a right may leave the
     star that holds it or, held by none, reach the sink, and the sink may
-    drop any matched optional right (``unsinkable``).  The witness
-    (``cover``) is some feasible matching, rerouted in place along residual
+    drop any matched optional right.  The witness (``cover``, right ->
+    left) is some feasible matching, rerouted in place along residual
     paths; ``pins`` accumulate the canonical answer and are never undone.
-    A pinned edge never leaves the witness, so ``pinned_cover`` also names
-    the witness edges the residual search may not remove.  A path is kept
-    as parent pointers only: the sides of an arc's ends fix its edit.
+    A pinned edge never leaves the witness, so a right in ``pinned`` is
+    held by ``cover`` and the residual search may not take it away.  Every
+    sink arc is read from ``cover`` and the request's optional rights.  A
+    path is kept as parent pointers only: the sides of an arc's ends fix
+    its edit.
 
     ``prepare`` gives each left its first free candidates directly and
     finds its other paths with the forward ``_bfs``: those for the partners
@@ -116,9 +118,7 @@ class _Solver:
     uncovered right.  A ``_force`` path joins a right to a left, so
     ``_meet`` grows its search from both and expands the smaller frontier.
     Its backward arcs read the graph's right adjacency, cached on the graph
-    and built on the first backward step, and ``free``, the uncovered
-    optional rights, which ``_add`` and ``_augment`` keep in step with
-    ``cover``.
+    and built on the first backward step.
     """
 
     def __init__(self, req: MatchingRequest):
@@ -127,13 +127,10 @@ class _Solver:
         g = req.graph
         self.lefts = g.left_ids
         self.cand = g.adjacency
-        self.required_right = req.required_right
         self.cover: dict[int, int] = {}
-        self.unsinkable: set[int] = set()
         self.pins: dict[int, list[int]] = {}
-        self.pinned_cover: dict[int, int] = {}
+        self.pinned: set[int] = set()
         self.need_right = len(req.required_right)
-        self.free: set[int] = set(req.optional_right)
 
     # -- feasibility ------------------------------------------------------
 
@@ -163,7 +160,7 @@ class _Solver:
                 if got == k:
                     break
                 if b not in cover:
-                    self._add(a, b)
+                    cover[b] = a
                     got += 1
             # A path from 2a adds one edge at a and never re-enters a.
             for _ in range(k - got):
@@ -182,13 +179,13 @@ class _Solver:
         parent: dict[int, int] = {start: start}
         queue: deque[int] = deque((start,))
         cover = self.cover
-        pinned_cover = self.pinned_cover
+        pinned = self.pinned
         while queue:
             u = queue.popleft()
             if u == _SNK:
-                for b in self.unsinkable:
+                for b in self.req.optional_right:
                     v = 2 * b + 1
-                    if v not in parent:
+                    if b in cover and v not in parent:
                         parent[v] = u
                         if v == target:
                             return parent
@@ -207,7 +204,7 @@ class _Solver:
                 b = u // 2
                 # Exact for uncovered rights too (they go to the sink): an
                 # uncovered right is never pinned, as pins stay in the witness.
-                if b not in pinned_cover:
+                if b not in pinned:
                     a2 = cover.get(b)
                     v = _SNK if a2 is None else 2 * a2
                     if v not in parent:
@@ -217,20 +214,14 @@ class _Solver:
                         queue.append(v)
         return None
 
-    def _add(self, a: int, b: int) -> None:
-        self.cover[b] = a
-        if b not in self.required_right:
-            self.unsinkable.add(b)
-            self.free.discard(b)
-
     def _augment(
         self, start: int, target: int, search: Callable[[int, int], dict[int, int] | None]
     ) -> bool:
         """Reroute the witness along a start-target path found by ``search``,
-        walked back from target: left->right adds that edge, right->left
-        drops the right from its star, sink arcs change nothing.  Last-first,
-        a rerouted right is removed from its old star before it joins the
-        new one."""
+        walked back from target: left->right sets ``cover[b] = a``,
+        right->left deletes ``cover[b]``, sink arcs change nothing.  The walk
+        must be last-first: a rerouted right leaves its old star before it
+        joins the new one, so its delete comes before its write."""
         parent = search(start, target)
         if parent is None:
             return False
@@ -239,13 +230,9 @@ class _Solver:
             u = parent[v]
             if u != _SNK and v != _SNK:  # _SNK is odd: test it before parity
                 if u % 2 == 0:
-                    self._add(u // 2, v // 2)
+                    self.cover[v // 2] = u // 2
                 else:
-                    b = u // 2
-                    del self.cover[b]
-                    if b in self.unsinkable:
-                        self.unsinkable.remove(b)
-                        self.free.add(b)
+                    del self.cover[u // 2]
             v = u
         return True
 
@@ -259,11 +246,11 @@ class _Solver:
 
         Only ``_force`` calls it, after ``prepare`` has covered every
         required right, so the sink's predecessors, the uncovered rights,
-        are exactly ``free``."""
+        are exactly the uncovered optional rights."""
         cand = self.cand
         cover = self.cover
-        pinned_cover = self.pinned_cover
-        unsinkable = self.unsinkable
+        pinned = self.pinned
+        optional = self.req.optional_right
         parent = {start: start}
         child = {target: target}  # backward pointers, one step nearer target
         ahead, behind = [start], [target]
@@ -272,11 +259,11 @@ class _Solver:
             if len(ahead) <= len(behind):
                 for u in ahead:
                     if u == _SNK:
-                        succ = [2 * b + 1 for b in unsinkable]
+                        succ = [2 * b + 1 for b in optional if b in cover]
                     elif u % 2 == 0:
                         a = u // 2
                         succ = [2 * b + 1 for b in cand[a] if cover.get(b) != a]
-                    elif u // 2 in pinned_cover:
+                    elif u // 2 in pinned:
                         continue
                     else:
                         a2 = cover.get(u // 2)
@@ -292,20 +279,20 @@ class _Solver:
                 radj = self.req.graph.right_adjacency
                 for v in behind:
                     if v == _SNK:
-                        pred = [2 * b + 1 for b in self.free]
+                        pred = [2 * b + 1 for b in optional if b not in cover]
                     elif v % 2 == 0:
                         a = v // 2
                         pred = [
                             2 * b + 1
                             for b in cand[a]
-                            if cover.get(b) == a and b not in pinned_cover
+                            if cover.get(b) == a and b not in pinned
                         ]
                     else:
                         # Every left of b but its owner; the owner is b's
                         # successor, so it is already in child.
                         b = v // 2
                         pred = [2 * a for a in radj.get(b, ())]
-                        if b in unsinkable:
+                        if b in cover and b in optional:
                             pred.append(_SNK)
                     for u in pred:
                         if u not in child:
@@ -333,7 +320,7 @@ class _Solver:
         a's partners on and so frees a slot at a for b."""
         if not self._augment(2 * b + 1, 2 * a, self._meet):
             return False
-        self._add(a, b)
+        self.cover[b] = a
         return True
 
     def _process_left(self, a: int) -> None:
@@ -342,12 +329,12 @@ class _Solver:
         for b in self.cand[a]:
             if len(row) == self.k:
                 break
-            if b in self.pinned_cover:
+            if b in self.pinned:
                 continue
             if self.cover.get(b) == a or self._force(a, b):
                 row.append(b)
-                self.pinned_cover[b] = a
-                if b in self.required_right:
+                self.pinned.add(b)
+                if b in self.req.required_right:
                     self.need_right -= 1
         if len(row) != self.k:
             raise InternalError(f"left {a} ended under-matched")
@@ -361,10 +348,9 @@ class _Solver:
                 continue
             if stop.side is Side.LEFT and a == stop.index:
                 return a, tuple(self.pins[a])
-            if stop.side is Side.RIGHT:
-                a1 = self.pinned_cover.get(stop.index)
-                if a1 is not None:
-                    return a1, tuple(self.pins[a1])
+            # a right pivot is first pinned by the left just processed
+            if stop.side is Side.RIGHT and stop.index in self.pinned:
+                return a, tuple(self.pins[a])
         if stop is not None:
             if stop.side is Side.RIGHT and stop.index in self.req.optional_right:
                 raise ValueError(f"optional pivot {stop!r} is left unmatched")

@@ -89,6 +89,25 @@ def test_lazy_f2_left_zero(capsys):
     assert out == "L 0 -> 0 1\n"
 
 
+@pytest.mark.parametrize("mode, k", [("tight", "3"), ("corollary", "9")])
+def test_lazy_f2_rejects_k_the_witness_does_not_back(capsys, mode, k):
+    # |R^n1 · B_r| - k|B_r| stays bounded for k = 3^n1, so the identity
+    # witness fails on large balls.
+    code, out, err = run(
+        capsys, "lazy", "--graph", "f2", "--mode", mode, "--k", k, "--left", "0",
+        "--max-ball", "200000",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_lazy_f2_k_one(capsys):
+    code, out, _ = run(capsys, "lazy", "--graph", "f2", "--k", "1", "--left", "0")
+    assert code == 0
+    assert out == "L 0 -> 0\n"
+
+
 def test_lazy_ball_budget(capsys):
     code, _, err = run(
         capsys, "lazy", "--graph", "f2", "--k", "2", "--left", "0", "--max-ball", "10"
@@ -365,6 +384,20 @@ def test_wbt_identity_only(capsys):
     code, out, _ = run(capsys, "wbt", "--rank", "2", "--set", "e")
     assert code == 1
     assert out == "NOT-WITNESS\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("wbt", "--rank", "2", "--set", ","),
+     ("folner", "--rank", "2", "--set", ",", "--n", "2", "--ground-radius", "1",
+      "--max-size", "2")],
+)
+def test_empty_word_set_rejected(capsys, argv):
+    # An answer about no words at all would be vacuous.
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 # -- folner ----------------------------------------------------------------------

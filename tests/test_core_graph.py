@@ -75,6 +75,11 @@ def test_parse_out_of_order_left_rejected():
     assert err.value.line_no == 2
 
 
+def test_parse_negative_left_rejected():
+    with pytest.raises(ParseError, match="left index must be >= 0"):
+        parse_bg("A -1: 2\n")
+
+
 def test_parse_header_after_data_rejected():
     with pytest.raises(ParseError):
         parse_bg("A 0: 0\nk 2\n")
@@ -105,6 +110,13 @@ def test_bg_roundtrip(g):
     got, k = parse_bg(text)
     assert k == 2
     assert got == g
+
+
+def test_dump_rejects_isolated_right():
+    # .bg lists rights only through edges: right 2 would not parse back.
+    g = FiniteBipartiteGraph((0,), (0, 1, 2), {0: (0, 1)})
+    with pytest.raises(ValueError, match=r"\[2\]"):
+        dump_bg(g)
 
 
 # -- ball extraction -------------------------------------------------------
