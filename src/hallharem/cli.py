@@ -64,18 +64,14 @@ def cmd_finite(args: argparse.Namespace) -> int:
     graph, k = _load_graph(args.file, args.k)
     req = flow_matching.MatchingRequest.all_required(graph, k)
     matching = flow_matching.solve_harem(req)
-    if matching is None:
-        if args.brute_check:
-            if next(iter(flow_matching.brute_force_harem(req)), None) is not None:
-                print("BRUTE-CHECK MISMATCH", file=sys.stderr)
-                return 2
-        print("INFEASIBLE")
-        return 1
     if args.brute_check:
-        first = next(iter(flow_matching.brute_force_harem(req)), None)
-        if first is None or first.stars != matching.stars:
+        # None, for an infeasible request, differs from any matching.
+        if next(iter(flow_matching.brute_force_harem(req)), None) != matching:
             print("BRUTE-CHECK MISMATCH", file=sys.stderr)
             return 2
+    if matching is None:
+        print("INFEASIBLE")
+        return 1
     for a, star in sorted(matching.stars.items()):
         print(f"{a} -> {' '.join(str(b) for b in star)}")
     return 0

@@ -64,9 +64,9 @@ class BipartiteOracle:
 class FiniteBipartiteGraph:
     """An explicit finite bipartite graph.
 
-    ``adjacency`` maps a left index to the sorted tuple of its right
-    neighbors.  Isolated vertices on either side are allowed: they appear in
-    ``left_ids``/``right_ids`` with no incident edge.  Treat instances as
+    ``adjacency`` holds exactly one row per left index: the sorted tuple of
+    its right neighbors, ``()`` for an isolated left.  An isolated right
+    appears in ``right_ids`` with no incident edge.  Treat instances as
     immutable.
     """
 
@@ -88,6 +88,10 @@ class FiniteBipartiteGraph:
                 raise ValueError(f"adjacency[{a}] {fault}")
             if not right_set.issuperset(row):
                 raise ValueError(f"adjacency[{a}] mentions unknown right ids")
+        # Every key is a left, so equal sizes mean every left has a row.
+        if len(self.adjacency) != len(self.left_ids):
+            missing = sorted(left_set.difference(self.adjacency))
+            raise ValueError(f"adjacency has no row for left ids {missing}")
 
     @staticmethod
     def from_adjacency(
@@ -96,11 +100,12 @@ class FiniteBipartiteGraph:
         right_ids: Iterable[int] | None = None,
     ) -> "FiniteBipartiteGraph":
         adj = {a: tuple(sorted(set(row))) for a, row in adjacency.items()}
-        lefts = set(adj) if left_ids is None else set(left_ids) | set(adj)
+        if left_ids is not None:
+            adj = dict.fromkeys(left_ids, ()) | adj
         rights = set() if right_ids is None else set(right_ids)
         for row in adj.values():
             rights.update(row)
-        return FiniteBipartiteGraph(tuple(sorted(lefts)), tuple(sorted(rights)), adj)
+        return FiniteBipartiteGraph(tuple(sorted(adj)), tuple(sorted(rights)), adj)
 
     def neighbors_left(self, i: int) -> tuple[int, ...]:
         return self.adjacency.get(i, ())
@@ -112,7 +117,7 @@ class FiniteBipartiteGraph:
     def right_adjacency(self) -> dict[int, tuple[int, ...]]:
         radj: dict[int, list[int]] = {}
         for a in self.left_ids:
-            for b in self.adjacency.get(a, ()):
+            for b in self.adjacency[a]:
                 radj.setdefault(b, []).append(a)
         return {b: tuple(row) for b, row in radj.items()}
 
@@ -139,17 +144,16 @@ class FiniteBipartiteGraph:
 
 @dataclass(frozen=True, eq=True)
 class BallSubgraph:
-    """The induced subgraph within a fixed path-distance of a pivot vertex.
+    """The induced residual subgraph within a fixed path-distance of a pivot.
 
     ``shell_right`` holds the right vertices at exactly the extraction
     radius; every other vertex of the subgraph is strictly closer to the
-    pivot.  Radius parity forces the outermost layer onto the right side:
-    odd radii pair with left pivots, even radii with right pivots.
+    pivot, and an empty shell means the ball is the pivot's whole residual
+    component.  Radius parity forces the outermost layer onto the right
+    side: odd radii pair with left pivots, even radii with right pivots.
     """
 
     graph: FiniteBipartiteGraph
-    pivot: Vertex
-    radius: int
     shell_right: frozenset[int]
 
     @property
@@ -172,14 +176,16 @@ def extract_ball(
     the first level that finds no new vertex: the ball is then the pivot's
     whole residual component and ``shell_right`` is empty, so an empty
     shell means a closed residual component.  The work is thus per ball
-    vertex, not per radius level; ``radius`` on the result is still the
-    radius asked for.  Raises ParityError on a radius/side mismatch,
-    OracleError if a queried row is not a strictly increasing run of
-    naturals or the rows fail symmetry on the pairs queried in both
-    directions, and BallBudgetExceeded past ``max_vertices``.
+    vertex, not per radius level.  Raises ParityError on a radius/side
+    mismatch, OracleError if a queried row is not a strictly increasing run
+    of naturals or the rows fail symmetry on the pairs queried in both
+    directions, and BallBudgetExceeded past ``max_vertices`` (None for no
+    budget; a budget below 1 is a ValueError, raised before any row is read).
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
+    if max_vertices is not None and max_vertices < 1:
+        raise ValueError(f"max_vertices must be >= 1, got {max_vertices}")
     if pivot.side is Side.LEFT and radius % 2 == 0:
         raise ParityError(f"left pivot needs an odd radius, got {radius}")
     if pivot.side is Side.RIGHT and radius % 2 == 1:
@@ -256,7 +262,7 @@ def extract_ball(
             row = tuple(j for j in row if j not in rm_right)
         adjacency[a] = row
     graph = FiniteBipartiteGraph(left_ids, right_ids, adjacency)
-    return BallSubgraph(graph=graph, pivot=pivot, radius=radius, shell_right=shell)
+    return BallSubgraph(graph=graph, shell_right=shell)
 
 
 def parse_bg(text: str | bytes) -> tuple[FiniteBipartiteGraph, int | None]:
@@ -340,7 +346,7 @@ def dump_bg(graph: FiniteBipartiteGraph, k: int | None = None) -> str:
     if k is not None:
         lines.append(f"k {k}")
     for a in graph.left_ids:
-        row = " ".join(str(j) for j in graph.adjacency.get(a, ()))
+        row = " ".join(str(j) for j in graph.adjacency[a])
         lines.append(f"A {a}: {row}".rstrip())
     return "\n".join(lines) + ("\n" if lines else "")
 

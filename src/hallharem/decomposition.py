@@ -30,15 +30,14 @@ TIGHT_EXPANSION_N = 2  # any finite set loses half its size under some generator
 
 @dataclass(frozen=True)
 class ActionGraphSpec:
-    """Recipe for the action graph of a rank-m free group.
+    """Recipe for the action graph of the free group that ``r_set`` lives in.
 
     In tight mode the edge set K is the generating ball itself (n1 = 1);
     corollary mode takes the n1-fold product K = R^n1 where n1 is the least
     with (1 + 1/n)^n1 >= 3 exactly, trading a denser graph for the generic
-    expansion argument.  ``n1`` and ``k_set`` follow from the fields.
+    expansion argument.  ``rank``, ``n1`` and ``k_set`` follow from the fields.
     """
 
-    rank: int
     r_set: GeneratorSet
     n: int
     mode: str
@@ -48,6 +47,10 @@ class ActionGraphSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+
+    @property
+    def rank(self) -> int:
+        return self.r_set.rank
 
     @cached_property
     def n1(self) -> int:
@@ -63,11 +66,11 @@ class ActionGraphSpec:
 
 
 def tight_spec(rank: int = 2) -> ActionGraphSpec:
-    return ActionGraphSpec(rank, GeneratorSet.standard(rank), TIGHT_EXPANSION_N, "tight")
+    return ActionGraphSpec(GeneratorSet.standard(rank), TIGHT_EXPANSION_N, "tight")
 
 
 def corollary_spec(rank: int = 2, n: int = 1) -> ActionGraphSpec:
-    return ActionGraphSpec(rank, GeneratorSet.standard(rank), n, "corollary")
+    return ActionGraphSpec(GeneratorSet.standard(rank), n, "corollary")
 
 
 def build_action_graph(spec: ActionGraphSpec) -> BipartiteOracle:
@@ -146,11 +149,6 @@ class ParadoxDecomp:
             self.engine.run_step()
 
 
-_TRUNK = "trunk"
-_WA, _WAI, _WB, _WBI = "W(a)", "W(A)", "W(b)", "W(B)"
-_PIECES = {1: _WA, -1: _WAI, 2: _WB, -2: _WBI}
-
-
 class ClassicF2Decomp:
     """The textbook rank-2 doubling along initial letters.
 
@@ -158,7 +156,8 @@ class ClassicF2Decomp:
     trunk {e, A, AA, ...}, which is absorbed into the a-side piece.  With
     P1 = W(a) ∪ trunk, the two exact identities are
     X = P1 ⊔ a·(X ∖ P1) and X = W(b) ⊔ b·(X ∖ W(b)), giving a four-piece
-    decomposition with translations drawn from {e, A, B}.
+    decomposition with translations drawn from {e, A, B}.  ``theta`` reads
+    the piece from the first letter of m and the digits after it.
     """
 
     def __init__(self) -> None:
@@ -169,21 +168,18 @@ class ClassicF2Decomp:
         self._a_inv = Word(2, (-1,))
         self._b_inv = Word(2, (-2,))
 
-    def piece(self, m: int) -> str:
-        first, tail = self._enum.head(m)
-        # A^n is the word whose later letters are each the least allowed: A.
-        if first == 0 or (first == -1 and tail == 0):
-            return _TRUNK
-        return _PIECES[first]
-
     def psi(self, m: int) -> tuple[int, int]:
         return act(self.theta(m, 1), m), act(self.theta(m, 2), m)
 
     def theta(self, m: int, which: int) -> Word:
+        first, tail = self._enum.head(m)
         if which == 1:
-            return self._id if self.piece(m) in (_WA, _TRUNK) else self._a_inv
+            # P1 is W(a) and the trunk: e, and A^n, whose tail digits are all 0.
+            if first in (0, 1) or (first == -1 and tail == 0):
+                return self._id
+            return self._a_inv
         if which == 2:
-            return self._id if self.piece(m) == _WB else self._b_inv
+            return self._id if first == 2 else self._b_inv
         raise ValueError("which must be 1 or 2")
 
     def a_member(self, k: Word, m: int) -> bool:
@@ -230,21 +226,20 @@ def verify_decomposition(
     classify_a: Callable[[Word, int], bool],
     classify_b: Callable[[Word, int], bool],
     k_set: GeneratorSet,
-    window: int | Iterable[int],
+    window: int,
 ) -> DecompReport:
-    """Mechanical check of the doubling identities on a finite window.
+    """Mechanical check of the doubling identities on the indices below
+    ``window``.
 
-    For every m in the window: m must lie in exactly one A-piece and
-    exactly one B-piece, and m must be hit by exactly one translate among
+    For every such m: m must lie in exactly one A-piece and exactly one
+    B-piece, and m must be hit by exactly one translate among
     {k∘A_k} ∪ {k∘B_k}.  The preimage of m under k is k⁻¹∘m, so the second
     check runs over |K| candidate sources per side.  Violations are data.
     """
-    indices = range(window) if isinstance(window, int) else window
+    indices = range(window)
     inverses = [(k, inv(k)) for k in k_set.elements]
     violations: list[DecompViolation] = []
-    checked = 0
     for m in indices:
-        checked += 1
         a_homes = tuple(str(k) for k in k_set.elements if classify_a(k, m))
         if len(a_homes) != 1:
             violations.append(DecompViolation("a-pieces", m, a_homes))
@@ -260,7 +255,7 @@ def verify_decomposition(
                 hits.append(("B", str(k), x))
         if len(hits) != 1:
             violations.append(DecompViolation("translates", m, tuple(hits)))
-    return DecompReport(tuple(violations), checked)
+    return DecompReport(tuple(violations), len(indices))
 
 
 def verify_engine_window(decomp: ParadoxDecomp) -> DecompReport:

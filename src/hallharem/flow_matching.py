@@ -152,7 +152,7 @@ class _Solver:
             return False
         k, cover = self.k, self.cover
         for a in self.lefts:
-            row = self.cand.get(a, ())  # an isolated left has no row
+            row = self.cand[a]
             if len(row) < k:
                 return False
             got = 0
@@ -418,7 +418,7 @@ def brute_force_harem(req: MatchingRequest) -> Iterator[HaremMatching]:
                 yield HaremMatching(stars=dict(acc))
             return
         a = lefts[pos]
-        avail = [b for b in g.adjacency.get(a, ()) if b not in used]
+        avail = [b for b in g.adjacency[a] if b not in used]
         for star in itertools.combinations(avail, req.k):
             used.update(star)
             acc.append((a, star))
@@ -430,9 +430,10 @@ def brute_force_harem(req: MatchingRequest) -> Iterator[HaremMatching]:
 
 
 def verify_matching(req: MatchingRequest, m: HaremMatching) -> MatchingReport:
-    """Check a matching against a request; violations are data, not errors."""
+    """Check a matching against a request; violations are data, not errors.
+    Every left of the request and every left the star map lists needs
+    exactly k partners, so a star keyed by a non-left always fails."""
     g = req.graph
-    listed = req.required_right | req.optional_right
     violations: list[MatchingViolation] = []
     coverage: dict[int, int] = {}
     for a, star in sorted(m.stars.items()):
@@ -440,11 +441,8 @@ def verify_matching(req: MatchingRequest, m: HaremMatching) -> MatchingReport:
             if not g.has_edge(a, b):
                 violations.append(MatchingViolation("non-edge", (a, b)))
             coverage[b] = coverage.get(b, 0) + 1
-        if a in req.required_left:
-            if len(star) != req.k:
-                violations.append(MatchingViolation("left-not-exactly-k", (a,)))
-        elif len(star) > req.k:
-            violations.append(MatchingViolation("left-over-k", (a,)))
+        if len(star) != req.k:
+            violations.append(MatchingViolation("left-not-exactly-k", (a,)))
     for a in sorted(req.required_left - set(m.stars)):
         violations.append(MatchingViolation("left-not-exactly-k", (a,)))
     for b in sorted(req.required_right):
@@ -453,8 +451,6 @@ def verify_matching(req: MatchingRequest, m: HaremMatching) -> MatchingReport:
     for b, c in sorted(coverage.items()):
         if c > 1:
             violations.append(MatchingViolation("right-over-once", (b,)))
-        if b not in listed:
-            violations.append(MatchingViolation("right-unlisted", (b,)))
     return MatchingReport(tuple(violations))
 
 
@@ -466,7 +462,7 @@ def _left_neighborhood_masks(graph: FiniteBipartiteGraph) -> tuple[list[int], di
     masks = []
     for a in graph.left_ids:
         mask = 0
-        for b in graph.adjacency.get(a, ()):
+        for b in graph.adjacency[a]:
             mask |= 1 << rpos[b]
         masks.append(mask)
     return masks, rpos

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hallharem import flow_matching
 from hallharem.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,6 +55,21 @@ def test_finite_brute_check(capsys, k12_file):
     code, out, _ = run(capsys, "finite", k12_file, "--brute-check")
     assert code == 0
     assert out == "0 -> 0 1\n"
+
+
+def test_finite_brute_check_infeasible(capsys, tmp_path):
+    p = tmp_path / "p.bg"
+    p.write_text(PIGEON_BG)
+    assert run(capsys, "finite", str(p), "--k", "1", "--brute-check") == (1, "INFEASIBLE\n", "")
+
+
+@pytest.mark.parametrize(
+    "wrong", [None, flow_matching.HaremMatching(stars={0: (1, 0)})], ids=["none", "other"]
+)
+def test_finite_brute_check_mismatch(capsys, k12_file, monkeypatch, wrong):
+    # Brute force finds 0 -> 0 1, so any other answer, None included, differs.
+    monkeypatch.setattr(flow_matching, "solve_harem", lambda req: wrong)
+    assert run(capsys, "finite", k12_file, "--brute-check") == (2, "", "BRUTE-CHECK MISMATCH\n")
 
 
 def test_finite_parse_error(capsys, tmp_path):
@@ -363,6 +379,47 @@ def test_verify_matching_rejects_repeated_left(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "left index 0" in err
+
+
+def verify_matching_cli(capsys, tmp_path, bg, matching):
+    gfile = tmp_path / "g.bg"
+    gfile.write_text(bg)
+    mfile = tmp_path / "m.txt"
+    mfile.write_text(matching)
+    return run(
+        capsys, "verify", "--what", "matching", "--file", str(gfile), "--matching", str(mfile)
+    )
+
+
+def test_verify_matching_rejects_left_the_graph_lacks(capsys, tmp_path):
+    # Every left is matched correctly; the extra empty line for 99 must fail.
+    code, out, err = verify_matching_cli(
+        capsys, tmp_path, "k 2\nA 0: 0 1\nA 1: 2 3\n", "0 -> 0 1\n1 -> 2 3\n99 ->\n"
+    )
+    assert (code, out, err) == (1, "FAIL\n  left-not-exactly-k(99,)\n", "")
+
+
+def test_verify_matching_failure_report_pinned(capsys, tmp_path):
+    # Left 0 takes k+1 partners, left 1 a non-edge (5) and a right that left
+    # 0 also holds (2), left 3 is missing and left 9 is not in the graph.
+    bg = "k 2\nA 0: 0 1 2\nA 1: 2 3 4\nA 2: 4 5\nA 3: 6 7\n"
+    matching = "0 -> 0 1 2\n1 -> 2 5\n2 -> 4 5\n9 ->\n"
+    code, out, err = verify_matching_cli(capsys, tmp_path, bg, matching)
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        "FAIL",
+        "  left-not-exactly-k(0,)",
+        "  non-edge(1, 5)",
+        "  left-not-exactly-k(9,)",
+        "  left-not-exactly-k(3,)",
+        "  right-not-exactly-once(2,)",
+        "  right-not-exactly-once(3,)",
+        "  right-not-exactly-once(5,)",
+        "  right-not-exactly-once(6,)",
+        "  right-not-exactly-once(7,)",
+        "  right-over-once(2,)",
+        "  right-over-once(5,)",
+    ]
 
 
 # -- wbt -------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def adjacency_graphs(draw):
         row = draw(st.frozensets(st.integers(0, nr - 1), max_size=nr))
         if row:
             adj[a] = tuple(sorted(row))
-    return FiniteBipartiteGraph.from_adjacency(adj)
+    return FiniteBipartiteGraph.from_adjacency(adj, left_ids=range(nl))
 
 
 @given(adjacency_graphs())
@@ -284,10 +284,12 @@ def test_ball_detects_negative_index(radius):
         ((0,), (0,), {1: (0,)}, "adjacency key 1 not in left_ids"),
         ((0,), (0, 1), {0: (1, 0)}, r"adjacency\[0\] must be strictly increasing"),
         ((0,), (0,), {0: (0, 1)}, r"adjacency\[0\] mentions unknown right ids"),
+        ((0, 1), (0,), {0: (0,)}, r"adjacency has no row for left ids \[1\]"),
     ],
     ids=[
         "unsorted-left", "repeated-left", "unsorted-right", "repeated-right",
         "negative-left", "negative-right", "unknown-key", "unsorted-row", "unknown-right",
+        "missing-row",
     ],
 )
 def test_finite_graph_rejects_malformed_input(left_ids, right_ids, adjacency, message):
@@ -349,7 +351,6 @@ def test_ball_matches_brute_past_closure():
             assert ball.shell_right == shell
             exhausted = max(component.values()) < radius
             assert (ball.shell_right == frozenset()) == exhausted
-            assert ball.radius == radius
             assert reads == brute_reads
             closed += exhausted
             open_ += not exhausted
@@ -384,8 +385,17 @@ def test_closed_ball_reads_each_row_once(pivot):
     huge = 10**6 + 1 if pivot.side is Side.LEFT else 10**6 + 2
     far = extract_ball(oracle, set(), set(), pivot, huge)
     assert far.graph == ball.graph and far.shell_right == frozenset()
-    assert far.radius == huge
     assert reads == closing_reads
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_ball_rejects_budget_below_one(budget):
+    # An isolated pivot would fit any budget, so only the argument check can
+    # refuse it, and it does so before any row is read.
+    oracle, reads = counting_oracle(FiniteBipartiteGraph.from_adjacency({}, left_ids=[0]))
+    with pytest.raises(ValueError, match=f"^max_vertices must be >= 1, got {budget}$"):
+        extract_ball(oracle, set(), set(), Vertex(Side.LEFT, 0), 1, max_vertices=budget)
+    assert reads == []
 
 
 @pytest.mark.parametrize(

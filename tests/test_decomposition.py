@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from hallharem import decomposition
@@ -58,23 +60,37 @@ def test_corollary_spec_arithmetic():
 def test_spec_validation():
     r = GeneratorSet.standard(2)
     with pytest.raises(ValueError, match="unknown mode"):
-        ActionGraphSpec(2, r, 1, "loose")
+        ActionGraphSpec(r, 1, "loose")
     with pytest.raises(ValueError, match="n must be >= 1"):
-        ActionGraphSpec(2, r, 0, "corollary")
+        ActionGraphSpec(r, 0, "corollary")
 
 
 def test_spec_derives_n1_and_k_set():
     # n1 and K follow from mode, n and R, so no spec can contradict them
     r = GeneratorSet.standard(2)
-    tight = ActionGraphSpec(2, r, 5, "tight")
+    tight = ActionGraphSpec(r, 5, "tight")
     assert tight.n1 == 1 and tight.k_set == r
-    spec = ActionGraphSpec(2, r, 1, "corollary")
+    spec = ActionGraphSpec(r, 1, "corollary")
     assert spec.n1 == 2 and spec.k_set == r.power(2)
     assert spec == corollary_spec(2, n=1)
     with pytest.raises(TypeError):
         ActionGraphSpec(2, r, 1, 2, "corollary", r)
     with pytest.raises(AttributeError):
         spec.n1 = 1
+
+
+def test_spec_rank_is_its_word_sets(f2_decomp):
+    # The rank is read from R, so a spec cannot name a rank its words lack:
+    # rank 3 over rank-2 words once drove the rank-2 graph while tsv_rows
+    # decoded its indices in rank 3 (psi2 of index 2 printed as ab).
+    assert [f.name for f in dataclasses.fields(ActionGraphSpec)] == ["r_set", "n", "mode"]
+    for rank in (1, 2, 3):
+        for spec in (tight_spec(rank), corollary_spec(rank)):
+            assert spec.rank == spec.r_set.rank == rank
+    with pytest.raises(TypeError):
+        ActionGraphSpec(3, GeneratorSet.standard(2), 2, "tight")
+    row = list(tsv_rows(f2_decomp, range(2, 3)))[1].split("\t")
+    assert (row[1], row[4], row[5]) == ("A", "8", "AA")
 
 
 def test_action_graph_neighbors_pin():
@@ -105,7 +121,7 @@ def test_mode_consistency():
     # (n=1, n1=2) equals the tight graph over the squared generating set
     spec_c = corollary_spec(2, n=1)
     squared = GeneratorSet.standard(2).power(2)
-    spec_t = ActionGraphSpec(2, squared, 2, "tight")
+    spec_t = ActionGraphSpec(squared, 2, "tight")
     a = build_action_graph(spec_c)
     b = build_action_graph(spec_t)
     for i in range(40):
@@ -148,7 +164,7 @@ def test_tight_rows_in_closed_form(monkeypatch, rank):
     [
         corollary_spec(2, n=1),
         # 3 words of at most one letter in rank 2: not the standard set
-        ActionGraphSpec(2, GeneratorSet.symmetrized(2, [w2("a")]), 2, "tight"),
+        ActionGraphSpec(GeneratorSet.symmetrized(2, [w2("a")]), 2, "tight"),
     ],
     ids=["corollary", "a-only"],
 )
@@ -244,25 +260,42 @@ def test_residual_margins_survive_first_step():
 
 
 def test_classic_pieces():
+    # theta is e on the piece a branch keeps: the trunk and W(a) for branch
+    # 1, W(b) for branch 2; everything else moves by A and by B.
     classic = ClassicF2Decomp()
     e = enumeration(2)
-    assert classic.piece(0) == "trunk"
-    assert classic.piece(e.word_to_index(w2("AA"))) == "trunk"
-    assert classic.piece(e.word_to_index(w2("ab"))) == "W(a)"
-    assert classic.piece(e.word_to_index(w2("Ab"))) == "W(A)"
-    assert classic.piece(e.word_to_index(w2("ba"))) == "W(b)"
-    assert classic.piece(e.word_to_index(w2("Ba"))) == "W(B)"
+    keep, by_a, by_b = w2("e"), w2("A"), w2("B")
+    expected = {
+        "e": (keep, by_b),
+        "AA": (keep, by_b),
+        "ab": (keep, by_b),
+        "Ab": (by_a, by_b),
+        "ba": (by_a, keep),
+        "Ba": (by_a, by_b),
+    }
+    for word, thetas in expected.items():
+        m = e.word_to_index(w2(word))
+        assert (classic.theta(m, 1), classic.theta(m, 2)) == thetas, word
 
 
 def test_classic_two_sided_split_on_window():
     # X = P1 |_| a*P2 and X = W(b) |_| b*W(B): pointwise, m falls outside the
     # untranslated piece exactly when its preimage lies in the shifted piece
-    # (theta is e exactly on the untranslated piece)
+    # (theta is e exactly on the untranslated piece).  The pieces are read
+    # off the decoded word, independently of theta.
     classic = ClassicF2Decomp()
+    enum = enumeration(2)
     a, b, e = w2("a"), w2("b"), w2("e")
+
+    def first_letter(m):
+        """The first letter of word m; None for the trunk {e, A, AA, ...},
+        which W(A) excludes."""
+        letters = enum.index_to_word(m).letters
+        return None if set(letters) <= {-1} else letters[0]
+
     for m in range(3000):
-        assert (classic.theta(m, 1) != e) == (classic.piece(act(inv(a), m)) == "W(A)")
-        assert (classic.theta(m, 2) != e) == (classic.piece(act(inv(b), m)) == "W(B)")
+        assert (classic.theta(m, 1) != e) == (first_letter(act(inv(a), m)) == -1)
+        assert (classic.theta(m, 2) != e) == (first_letter(act(inv(b), m)) == -2)
 
 
 def test_classic_verifies_on_window():
@@ -317,13 +350,13 @@ def test_certificate_f2_n1_fails_on_balls():
     # with n = 1 the displaced part must be the whole set; only the
     # singleton ball manages that
     r = GeneratorSet.standard(2)
-    spec = ActionGraphSpec(2, r, 1, "corollary")
+    spec = ActionGraphSpec(r, 1, "corollary")
     fam = [ball(r, 0, radius) for radius in range(3)]
     assert [is_folner(spec.r_set.elements, spec.n, f) for f in fam] == [False, True, True]
 
 
 def test_certificate_rank1_contrast():
-    spec_z = ActionGraphSpec(1, GeneratorSet.standard(1), 3, "tight")
+    spec_z = ActionGraphSpec(GeneratorSet.standard(1), 3, "tight")
     fam = [ball(spec_z.r_set, 0, r) for r in range(2, 4)]
     assert all(is_folner(spec_z.r_set.elements, spec_z.n, f) for f in fam)
 
