@@ -156,8 +156,10 @@ class ClassicF2Decomp:
     trunk {e, A, AA, ...}, which is absorbed into the a-side piece.  With
     P1 = W(a) ∪ trunk, the two exact identities are
     X = P1 ⊔ a·(X ∖ P1) and X = W(b) ⊔ b·(X ∖ W(b)), giving a four-piece
-    decomposition with translations drawn from {e, A, B}.  ``theta`` reads
-    the piece from the first letter of m and the digits after it.
+    decomposition with translations drawn from {e, A, B}.  Both thetas of m
+    come from one read of its first letter and the digits after it.  Only
+    the last index's pair is kept: the verifier asks about one index up to
+    ten times in a row, and a table over the window would grow with it.
     """
 
     def __init__(self) -> None:
@@ -167,26 +169,40 @@ class ClassicF2Decomp:
         self._id = identity(2)
         self._a_inv = Word(2, (-1,))
         self._b_inv = Word(2, (-2,))
+        self._last: int | None = None  # None, not -1, so head(-1) still raises
+        self._pair: tuple[Word, Word]  # the thetas of _last, set by _thetas
+
+    def _thetas(self, m: int) -> tuple[Word, Word]:
+        if m != self._last:
+            first, tail = self._enum.head(m)
+            # P1 is W(a) and the trunk: e, and A^n, whose tail digits are all 0.
+            keep_a = first in (0, 1) or (first == -1 and tail == 0)
+            self._pair = (
+                self._id if keep_a else self._a_inv,
+                self._id if first == 2 else self._b_inv,
+            )
+            self._last = m
+        return self._pair
 
     def psi(self, m: int) -> tuple[int, int]:
-        return act(self.theta(m, 1), m), act(self.theta(m, 2), m)
+        t1, t2 = self._thetas(m)
+        return act(t1, m), act(t2, m)
 
     def theta(self, m: int, which: int) -> Word:
-        first, tail = self._enum.head(m)
-        if which == 1:
-            # P1 is W(a) and the trunk: e, and A^n, whose tail digits are all 0.
-            if first in (0, 1) or (first == -1 and tail == 0):
-                return self._id
-            return self._a_inv
-        if which == 2:
-            return self._id if first == 2 else self._b_inv
-        raise ValueError("which must be 1 or 2")
+        if which not in (1, 2):
+            raise ValueError("which must be 1 or 2")
+        return self._thetas(m)[which - 1]
 
+    # The verifier's repeat questions skip the call to _thetas, and Words are
+    # compared field by field: the dataclass __eq__ call would cost more
+    # than the rest of the question.
     def a_member(self, k: Word, m: int) -> bool:
-        return k == self.theta(m, 1)
+        t = (self._pair if m == self._last else self._thetas(m))[0]
+        return k.letters == t.letters and k.rank == t.rank
 
     def b_member(self, k: Word, m: int) -> bool:
-        return k == self.theta(m, 2)
+        t = (self._pair if m == self._last else self._thetas(m))[1]
+        return k.letters == t.letters and k.rank == t.rank
 
 
 def planted_defect_classifier(
@@ -237,22 +253,22 @@ def verify_decomposition(
     check runs over |K| candidate sources per side.  Violations are data.
     """
     indices = range(window)
-    inverses = [(k, inv(k)) for k in k_set.elements]
+    named = [(k, str(k), inv(k)) for k in k_set.elements]
     violations: list[DecompViolation] = []
     for m in indices:
-        a_homes = tuple(str(k) for k in k_set.elements if classify_a(k, m))
+        a_homes = [name for k, name, _ in named if classify_a(k, m)]
         if len(a_homes) != 1:
-            violations.append(DecompViolation("a-pieces", m, a_homes))
-        b_homes = tuple(str(k) for k in k_set.elements if classify_b(k, m))
+            violations.append(DecompViolation("a-pieces", m, tuple(a_homes)))
+        b_homes = [name for k, name, _ in named if classify_b(k, m)]
         if len(b_homes) != 1:
-            violations.append(DecompViolation("b-pieces", m, b_homes))
+            violations.append(DecompViolation("b-pieces", m, tuple(b_homes)))
         hits: list[tuple[str, str, int]] = []
-        for k, k_inv in inverses:
+        for k, name, k_inv in named:
             x = act(k_inv, m)
             if classify_a(k, x):
-                hits.append(("A", str(k), x))
+                hits.append(("A", name, x))
             if classify_b(k, x):
-                hits.append(("B", str(k), x))
+                hits.append(("B", name, x))
         if len(hits) != 1:
             violations.append(DecompViolation("translates", m, tuple(hits)))
     return DecompReport(tuple(violations), len(indices))

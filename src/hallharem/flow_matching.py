@@ -411,11 +411,18 @@ def brute_force_harem(req: MatchingRequest) -> Iterator[HaremMatching]:
             f"got {len(g.left_ids)}x{len(g.right_ids)}"
         )
     lefts = g.left_ids
+    # unreached[pos]: the required rights no row from lefts[pos] on reaches;
+    # a branch that has not used them all yet cannot complete.
+    unreached = [req.required_right]
+    for a in reversed(lefts):
+        unreached.append(unreached[-1] - set(g.adjacency[a]))
+    unreached.reverse()
 
     def rec(pos: int, used: set[int], acc: list[tuple[int, tuple[int, ...]]]):
+        if not unreached[pos] <= used:
+            return
         if pos == len(lefts):
-            if req.required_right <= used:
-                yield HaremMatching(stars=dict(acc))
+            yield HaremMatching(stars=dict(acc))
             return
         a = lefts[pos]
         avail = [b for b in g.adjacency[a] if b not in used]

@@ -187,9 +187,11 @@ class Enumeration:
             raise ValueError("index must be >= 0")
         if n == 0:
             return 0, 0
-        length = self._length(n)
-        first, tail = divmod(n - self._cum[length - 1], self._pow[length - 1])
-        return self._letter(first), tail
+        # The decode and _letter inlined, as in act_letter.
+        cum = self._cum
+        length = bisect_right(cum, n) if n < cum[-1] else self._length(n)
+        first, tail = divmod(n - cum[length - 1], self._pow[length - 1])
+        return (-((first + 1) // 2) if first % 2 else first // 2 + 1), tail
 
     def act_letter(self, letter: int, n: int) -> int:
         """Index of letter·w for the word w with index n."""

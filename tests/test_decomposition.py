@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -296,6 +297,47 @@ def test_classic_two_sided_split_on_window():
     for m in range(3000):
         assert (classic.theta(m, 1) != e) == (first_letter(act(inv(a), m)) == -1)
         assert (classic.theta(m, 2) != e) == (first_letter(act(inv(b), m)) == -2)
+
+
+def test_classic_cached_pieces_match_decoded_words():
+    # The classifier keeps the last index's two thetas.  Ask in shuffled
+    # order, with repeats and the methods interleaved, so a pair kept for the
+    # wrong index would answer some question; the expected pieces are read
+    # off the decoded word.
+    classic = ClassicF2Decomp()
+    enum = enumeration(2)
+    ks = classic.k_set.elements
+    e, by_a, by_b = w2("e"), w2("A"), w2("B")
+
+    def expected(m):
+        letters = enum.index_to_word(m).letters
+        keep_a = not letters or letters[0] == 1 or set(letters) == {-1}
+        return (e if keep_a else by_a), (e if letters[:1] == (2,) else by_b)
+
+    with pytest.raises(ValueError):
+        classic.theta(-1, 1)
+    # The first index of each length 1..9 and the last of the length before.
+    levels = [enum.word_to_index(w2("a" * n)) for n in range(1, 10)]
+    edges = [i + d for i in levels for d in (-1, 0)]
+    trunk = [enum.word_to_index(w2("A" * n)) for n in range(1, 10)]
+    indices = [*range(600), *edges, *trunk]
+    assert max(len(enum.index_to_word(m)) for m in indices) == 9
+    queries = [(m, kind) for m in indices for kind in ("theta", "a", "b", "psi")] * 2
+    random.Random(16).shuffle(queries)
+    for m, kind in queries:
+        t1, t2 = expected(m)
+        if kind == "theta":
+            assert (classic.theta(m, 1), classic.theta(m, 2)) == (t1, t2), m
+        elif kind == "a":
+            assert [classic.a_member(k, m) for k in ks] == [k == t1 for k in ks], m
+        elif kind == "b":
+            assert [classic.b_member(k, m) for k in ks] == [k == t2 for k in ks], m
+        else:
+            assert classic.psi(m) == (act(t1, m), act(t2, m)), m
+    for ask in (lambda: classic.theta(-1, 2), lambda: classic.a_member(e, -1),
+                lambda: classic.b_member(by_b, -1), lambda: classic.psi(-1)):
+        with pytest.raises(ValueError):
+            ask()
 
 
 def test_classic_verifies_on_window():

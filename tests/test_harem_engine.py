@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallharem.core_graph import FiniteBipartiteGraph, Side
 from hallharem.decomposition import ParadoxDecomp, tight_spec
@@ -267,6 +269,36 @@ def test_engine_matches_direct_solver_validity():
 
     assert verify_matching(req, HaremMatching(stars=dict(snap.stars))).ok
     assert verify_matching(req, direct).ok
+
+
+@st.composite
+def planted_components(draw):
+    """A feasible all-required k = 2 graph of two or three parts, each with
+    a planted (1,2)-matching and no edge to the others, so at least one
+    component per part.  Ids are shuffled, so the parts interleave and the
+    engine's left and right pivots hop between components."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    n = sum(sizes)
+    lefts = draw(st.permutations(range(n)))
+    rights = draw(st.permutations(range(2 * n)))
+    adj = {}
+    start = 0
+    for size in sizes:
+        part = rights[2 * start : 2 * (start + size)]
+        for i, a in enumerate(lefts[start : start + size]):
+            extra = draw(st.frozensets(st.sampled_from(part), max_size=3))
+            adj[a] = tuple(sorted(extra | set(part[2 * i : 2 * i + 2])))
+        start += size
+    return FiniteBipartiteGraph.from_adjacency(adj, right_ids=range(2 * n))
+
+
+@given(planted_components())
+@settings(max_examples=100, deadline=None)
+def test_engine_star_map_equals_direct_solver(g):
+    # Odd steps pivot on a right, so right pivots are always among the steps.
+    eng = EngineState(g.as_oracle(), k=2, h=vacuous_witness(len(g.left_ids)))
+    snap = eng.drive_to_exhaustion()
+    assert dict(snap.stars) == solve_harem(MatchingRequest.all_required(g, 2)).stars
 
 
 def test_committed_prefix_snapshot_is_frozen_copy():
