@@ -221,7 +221,15 @@ def cmd_wbt(args: argparse.Namespace) -> int:
 def cmd_folner(args: argparse.Namespace) -> int:
     words = _parse_words(args.rank, args.set)
     r = group_kit.GeneratorSet.symmetrized(args.rank, words)
-    ground = group_kit.ball(r, 0, args.ground_radius)
+    if args.ground_radius < 0:
+        raise ValueError("radius must be >= 0")
+    # The ball one level at a time, stopping past the search's cap, so that
+    # folner_search refuses a huge radius as soon as a small one.
+    ground: list[int] = []
+    for _, level in zip(range(args.ground_radius + 1), group_kit._levels(r, 0)):
+        ground.extend(level)
+        if len(ground) > group_kit.FOLNER_MAX_GROUND:
+            break
     found = group_kit.folner_search(words, args.n, ground, args.max_size)
     if found is None:
         print("NONE")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import lt
-from typing import Callable, Iterable, Mapping
+from typing import AbstractSet, Callable, Iterable, Mapping
 
 from .errors import BallBudgetExceeded, OracleError, ParityError, ParseError
 
@@ -163,8 +163,8 @@ class BallSubgraph:
 
 def extract_ball(
     oracle: BipartiteOracle,
-    removed_left: Iterable[int],
-    removed_right: Iterable[int],
+    removed_left: AbstractSet[int],
+    removed_right: AbstractSet[int],
     pivot: Vertex,
     radius: int,
     max_vertices: int | None = None,
@@ -172,15 +172,17 @@ def extract_ball(
     """Breadth-first extraction of the induced ball around ``pivot``.
 
     Removed vertices are invisible: they are neither visited nor traversed,
-    so the result is the ball of the residual graph.  Extraction stops at
-    the first level that finds no new vertex: the ball is then the pivot's
-    whole residual component and ``shell_right`` is empty, so an empty
-    shell means a closed residual component.  The work is thus per ball
-    vertex, not per radius level.  Raises ParityError on a radius/side
-    mismatch, OracleError if a queried row is not a strictly increasing run
-    of naturals or the rows fail symmetry on the pairs queried in both
-    directions, and BallBudgetExceeded past ``max_vertices`` (None for no
-    budget; a budget below 1 is a ValueError, raised before any row is read).
+    so the result is the ball of the residual graph.  The removed sets are
+    read, not copied, and only through ``in`` and ``isdisjoint``, so a set
+    or a dict's key view will do.  Extraction stops at the first level that
+    finds no new vertex: the ball is then the pivot's whole residual
+    component and ``shell_right`` is empty, so an empty shell means a closed
+    residual component.  The work is thus per ball vertex, not per radius
+    level.  Raises ParityError on a radius/side mismatch, OracleError if a
+    queried row is not a strictly increasing run of naturals or the rows
+    fail symmetry on the pairs queried in both directions, and
+    BallBudgetExceeded past ``max_vertices`` (None for no budget; a budget
+    below 1 is a ValueError, raised before any row is read).
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -190,28 +192,25 @@ def extract_ball(
         raise ParityError(f"left pivot needs an odd radius, got {radius}")
     if pivot.side is Side.RIGHT and radius % 2 == 1:
         raise ParityError(f"right pivot needs an even radius, got {radius}")
-    rm_left = frozenset(removed_left)
-    rm_right = frozenset(removed_right)
     home_left = pivot.side is Side.LEFT
-    rm_home, rm_away = (rm_left, rm_right) if home_left else (rm_right, rm_left)
-    if pivot.index in rm_home:
+    skip_next, skip = (removed_left, removed_right) if home_left else (removed_right, removed_left)
+    if pivot.index in skip_next:
         raise ValueError(f"pivot {pivot!r} is a removed vertex")
 
-    # Per side, every ball vertex maps to its row once queried, else None.
-    # levels[d] lists the vertices at distance d in the order they were
-    # found, which is also the order the vertices of level d are queried.
-    # Each level swaps the roles of the two sides' dicts and removed sets.
+    # Per side, every ball vertex maps to its row once queried, else None;
+    # each dict holds its side's vertices in the order they were found.
+    # ``frontier`` lists the vertices of the last level found, which are
+    # queried next.  Each level swaps the roles of the two sides' dicts
+    # and removed sets.
     home: dict[int, tuple[int, ...] | None] = {pivot.index: None}
     away: dict[int, tuple[int, ...] | None] = {}
-    levels = [[pivot.index]]
+    frontier = [pivot.index]
     size = 1
     side, other = pivot.side, pivot.side.opposite()
     mine, theirs = home, away
-    skip, skip_next = rm_away, rm_home
-    shell: frozenset[int] = frozenset()
     for _ in range(radius):
         found: list[int] = []
-        for i in levels[-1]:
+        for i in frontier:
             nbrs = oracle.neighbors(Vertex(side, i))
             if not all(map(lt, nbrs, nbrs[1:])):
                 raise OracleError(f"{oracle.name}: neighbors({side.value}{i}) not strictly sorted")
@@ -230,38 +229,33 @@ def extract_ball(
                 found.append(j)
         if not found:
             break
-        levels.append(found)
+        frontier = found
         side, other = other, side
         mine, theirs = theirs, mine
         skip, skip_next = skip_next, skip
-    else:
-        shell = frozenset(levels.pop())
+    # A search that ran out of vertices found none at its last level; one
+    # that reached the radius found the shell there, whose rows stay None.
+    shell = frozenset(found)
 
-    # Every level left in ``levels`` had its rows queried.
-    mine, theirs, left_side = home, away, home_left
-    for level in levels:
-        for i in level:
-            for j in mine[i]:
+    lefts, rights = (home, away) if home_left else (away, home)
+    for mine, theirs, left_side in ((lefts, rights, True), (rights, lefts, False)):
+        for i, row in mine.items():
+            if row is None:
+                continue
+            for j in row:
                 back = theirs.get(j)
                 if back is not None and i not in back:
                     pair = (i, j) if left_side else (j, i)
                     raise OracleError(f"{oracle.name}: asymmetric edge at {pair}")
-        mine, theirs, left_side = theirs, mine, not left_side
 
-    lefts, rights = (home, away) if home_left else (away, home)
-    left_ids = tuple(sorted(lefts))
-    right_ids = tuple(sorted(rights))
     # Every left vertex of the ball is strictly inside, so its row was read
     # and each of its neighbors is a ball right or a removed right.  The
     # row restricted to the ball is then the oracle's own tuple unless it
-    # meets a removed right.
-    adjacency: dict[int, tuple[int, ...]] = {}
-    for a in left_ids:
-        row = lefts[a]
-        if not rm_right.isdisjoint(row):
-            row = tuple(j for j in row if j not in rm_right)
-        adjacency[a] = row
-    graph = FiniteBipartiteGraph(left_ids, right_ids, adjacency)
+    # meets a removed right, and ``lefts`` becomes the adjacency.
+    for a, row in lefts.items():
+        if not removed_right.isdisjoint(row):
+            lefts[a] = tuple(j for j in row if j not in removed_right)
+    graph = FiniteBipartiteGraph(tuple(sorted(lefts)), tuple(sorted(rights)), lefts)
     return BallSubgraph(graph=graph, shell_right=shell)
 
 

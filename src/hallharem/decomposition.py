@@ -16,7 +16,6 @@ first generator), used as an engine-independent oracle for the verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Protocol
 
@@ -56,7 +55,7 @@ class ActionGraphSpec:
     def n1(self) -> int:
         n1 = 1
         if self.mode == "corollary":
-            while (1 + Fraction(1, self.n)) ** n1 < 3:
+            while (self.n + 1) ** n1 < 3 * self.n**n1:  # (1 + 1/n)^n1 < 3
                 n1 += 1
         return n1
 

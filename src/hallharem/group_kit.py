@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptySetError, RankMismatch, SizeGuardError
@@ -116,17 +117,17 @@ class Enumeration:
         self.q = 2 * rank - 1  # choices per letter after the first
         self._cum = [1]  # number of words of length < L+1, starting at L=0
         self._pow = [1]  # q ** L, as far as _cum reaches
-        # _prepend_digits[f]: for a word whose first letter sits at position
-        # f, the two leading digits of p·w for each letter position p that
-        # does not cancel it, ascending in p: p itself, then f re-read
-        # against the new first letter, which skips p ^ 1.
-        self._prepend_digits = [
-            tuple(
-                p * self.q + (f if f < p ^ 1 else f - 1)
-                for p in range(2 * rank)
-                if p != f ^ 1
-            )
-            for f in range(2 * rank)
+
+    @cached_property
+    def _prepend_digits(self) -> list[tuple[int, ...]]:
+        # Entry f: for a word whose first letter sits at position f, the two
+        # leading digits of p·w for each letter position p that does not
+        # cancel it, ascending in p: p itself, then f re-read against the new
+        # first letter, which skips p ^ 1.  Built on first use: 2r(2r-1) digits.
+        q, m = self.q, 2 * self.rank
+        return [
+            tuple(p * q + (f if f < p ^ 1 else f - 1) for p in range(m) if p != f ^ 1)
+            for f in range(m)
         ]
 
     def _extend_cum(self, length: int) -> None:
@@ -169,6 +170,8 @@ class Enumeration:
             raise ValueError("index must be >= 0")
         if n == 0:
             return identity(self.rank)
+        if self.q == 1:  # rank 1 in closed form, as in act_letter
+            return Word(1, (1 if n % 2 else -1,) * ((n + 1) // 2))
         length = self._length(n)
         first, r = divmod(n - self._cum[length - 1], self._pow[length - 1])
         letters = [self._letter(first)]
@@ -187,6 +190,8 @@ class Enumeration:
             raise ValueError("index must be >= 0")
         if n == 0:
             return 0, 0
+        if self.q == 1:  # rank 1 in closed form, as in act_letter
+            return (1 if n % 2 else -1), 0
         # The decode and _letter inlined, as in act_letter.
         cum = self._cum
         length = bisect_right(cum, n) if n < cum[-1] else self._length(n)

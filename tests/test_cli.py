@@ -492,6 +492,18 @@ def test_folner_guard_exceeded(capsys):
     assert code == 2
 
 
+def test_folner_guard_stops_a_huge_ground_early(capsys):
+    # The ground past radius 3 is never built, so radius 10^6 fails as fast.
+    code, out, err = run(
+        capsys,
+        "folner",
+        "--rank", "2", "--set", "a,b", "--n", "2",
+        "--ground-radius", "1000000", "--max-size", "5",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: ground capped at 24, got 53\n"
+
+
 @pytest.mark.parametrize(
     "flags", [("--n", "1", "--max-size", "0"), ("--n", "1", "--max-size", "-3"),
               ("--n", "0", "--max-size", "0")]

@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from collections.abc import Set
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,23 @@ def brute_ball(oracle, removed_left, removed_right, pivot, radius):
             dist[key] = d + 1
             queue.append(key)
     return dist
+
+
+class ProbeOnlySet(Set):
+    """A set that answers ``in`` and ``isdisjoint`` but cannot be iterated,
+    so any copy of it fails."""
+
+    def __init__(self, items):
+        self._items = frozenset(items)
+
+    def __contains__(self, x):
+        return x in self._items
+
+    def __len__(self):
+        return len(self._items)
+
+    def __iter__(self):
+        raise AssertionError("the removed set was iterated")
 
 
 # -- parsing ---------------------------------------------------------------
@@ -144,6 +162,8 @@ def test_ball_parity_enforced():
 def test_ball_removed_pivot_rejected():
     with pytest.raises(ValueError):
         extract_ball(single_edge_oracle(), {0}, set(), Vertex(Side.LEFT, 0), 1)
+    with pytest.raises(ValueError, match="is a removed vertex"):
+        extract_ball(single_edge_oracle(), ProbeOnlySet({0}), set(), Vertex(Side.LEFT, 0), 1)
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +204,8 @@ def test_f2_ball_with_removed_rights_matches_brute(f2_oracle, pivot, radius):
     removed_left = {5}
     removed_right = {0, 1, 8, 14, 30, 41}
     ball = extract_ball(f2_oracle, removed_left, removed_right, pivot, radius)
+    probed = ProbeOnlySet(removed_left), ProbeOnlySet(removed_right)
+    assert extract_ball(f2_oracle, *probed, pivot, radius) == ball
     dist = brute_ball(f2_oracle, removed_left, removed_right, pivot, radius)
     lefts = sorted(i for (s, i) in dist if s is Side.LEFT)
     rights = sorted(i for (s, i) in dist if s is Side.RIGHT)
@@ -338,6 +360,14 @@ def test_ball_matches_brute_past_closure():
         for radius in range(first, 2 * len(g.left_ids) + 4, 2):
             oracle, reads = counting_oracle(g)
             ball = extract_ball(oracle, removed_left, removed_right, pivot, radius)
+            # The engine passes dict key views, read in place.
+            n_reads = len(reads)
+            viewed = extract_ball(
+                oracle, dict.fromkeys(removed_left).keys(),
+                dict.fromkeys(removed_right).keys(), pivot, radius,
+            )
+            assert viewed == ball and reads[n_reads:] == reads[:n_reads]
+            del reads[n_reads:]
             brute, brute_reads = counting_oracle(g)
             dist = brute_ball(brute, removed_left, removed_right, pivot, radius)
             lefts = sorted(i for (s, i) in dist if s is Side.LEFT)
@@ -414,6 +444,24 @@ def test_ball_detects_asymmetry_in_closed_component(pivot, radius):
     }
     broken = BipartiteOracle(neighbors=lambda v: rows.get(v, ()))
     with pytest.raises(OracleError, match=r"asymmetric edge at \(1, 1\)"):
+        extract_ball(broken, set(), set(), pivot, radius)
+
+
+@pytest.mark.parametrize(
+    "pivot, radius",
+    [(Vertex(Side.LEFT, 0), 3), (Vertex(Side.LEFT, 0), 10**6 + 1), (Vertex(Side.RIGHT, 0), 2)],
+)
+def test_ball_detects_asymmetry_seen_from_a_right(pivot, radius):
+    # R0's row lists L1 but L1's row omits R0; both rows are read, and only
+    # R0's row shows the fault.  The pair is named left first.
+    rows = {
+        Vertex(Side.LEFT, 0): (0,),
+        Vertex(Side.LEFT, 1): (2,),
+        Vertex(Side.RIGHT, 0): (0, 1),
+        Vertex(Side.RIGHT, 2): (1,),
+    }
+    broken = BipartiteOracle(neighbors=lambda v: rows.get(v, ()))
+    with pytest.raises(OracleError, match=r"asymmetric edge at \(1, 0\)$"):
         extract_ball(broken, set(), set(), pivot, radius)
 
 

@@ -239,6 +239,13 @@ def test_rank1_act_in_closed_form():
     assert act(a, 10**18 + 1) == 10**18 + 3
     assert act(Word(1, (-1, -1, -1)), 10**18 - 1) == 10**18 - 7
     assert (len(enumeration(1)._cum), len(enumeration(1)._pow)) == grown
+    # head and index_to_word too: 2z-1 is a^z and 2z is A^z.
+    for n, word in enumerate(brute_shortlex(1, 12)):
+        assert e.index_to_word(n).letters == word
+        assert e.head(n) == ((word[0], 0) if word else (0, 0))
+    assert e.head(10**9) == (-1, 0) and e.head(10**18 + 1) == (1, 0)
+    assert e.index_to_word(2 * 10**5 - 1) == Word(1, (1,) * 10**5)
+    assert (len(e._cum), len(e._pow)) == (1, 1)
 
 
 def test_act_letter_exhaustive_window():
@@ -424,6 +431,11 @@ def test_wbt_pins():
     assert wbt_free([w2("a"), w2("Bab")]) == (w2("a"), w2("Bab"))
     assert wbt_free([identity(2)]) is None
     assert wbt_free([]) is None
+    # Only the given words are decoded: no table grows with the rank.
+    big = 10**5
+    assert wbt_free([parse_word(big, "b"), parse_word(big, "a")]) == (
+        parse_word(big, "a"), parse_word(big, "b")
+    )
 
 
 def test_wbt_rank_mismatch():
