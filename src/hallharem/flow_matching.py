@@ -8,9 +8,10 @@ k partners, then paths reroute partners until every required right is
 covered, and a greedy pass rewrites that witness to the canonical
 (lexicographically least) star map so results are reproducible.  The
 greedy pass tries each candidate edge in ascending order and keeps it if a
-residual path frees a slot for it; it looks for that path with a search
-grown from both of its ends, because a forward search alone visits most
-of the network on each try.
+residual path frees a slot for it.  One search finds every path.  It
+grows from both ends, because a forward search alone visits most of the
+network on each try; a path to the sink grows forward only, as the sink's
+backward frontier would be every uncovered right.
 
 ``check_hall_harem`` and ``check_expanding_hall_witness`` are exhaustive
 subset-condition checkers used as independent oracles in the test suite;
@@ -20,7 +21,6 @@ subset-condition checkers used as independent oracles in the test suite;
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -111,14 +111,12 @@ class _Solver:
     path is kept as parent pointers only: the sides of an arc's ends fix
     its edit.
 
-    ``prepare`` gives each left its first free candidates directly and
-    finds its other paths with the forward ``_bfs``: those for the partners
-    a left still lacks once its row has no free candidate, and those of
-    phase 2.  One end of each is the sink, whose backward frontier is every
-    uncovered right.  A ``_force`` path joins a right to a left, so
-    ``_meet`` grows its search from both and expands the smaller frontier.
-    Its backward arcs read the graph's right adjacency, cached on the graph
-    and built on the first backward step.
+    ``prepare`` gives each left its first free candidates directly, and
+    ``_meet`` finds every other path: from both ends, expanding the smaller
+    frontier, except that a path to the sink (for the partners a left still
+    lacks once its row has no free candidate) grows forward only.  Backward
+    arcs read the graph's right adjacency, cached on the graph and built on
+    the first backward step.
     """
 
     def __init__(self, req: MatchingRequest):
@@ -141,11 +139,11 @@ class _Solver:
         path takes one partner from each left it passes and gives it another.
 
         A left first takes its uncovered candidates in row order, up to k.
-        That is the path ``_bfs`` from 2a would find for each: it queues
-        every candidate before any deeper node, no right is pinned yet, and
-        rights a already holds are no arc.  Phase 1 never uncovers a right,
-        so only a left whose row runs out of free candidates needs a
-        residual search for the partners it still lacks.  A row shorter
+        That is the path the forward search from 2a would find for each: it
+        queues every candidate before any deeper node, no right is pinned
+        yet, and rights a already holds are no arc.  Phase 1 never uncovers
+        a right, so only a left whose row runs out of free candidates needs
+        a residual search for the partners it still lacks.  A row shorter
         than k fails at once; a required right no row lists, in phase 2."""
         req = self.req
         if len(req.required_right) > self.k * len(self.lefts):
@@ -164,65 +162,22 @@ class _Solver:
                     got += 1
             # A path from 2a adds one edge at a and never re-enters a.
             for _ in range(k - got):
-                if not self._augment(2 * a, _SNK, self._bfs):
+                if not self._augment(2 * a, _SNK):
                     return False
         for b in sorted(req.required_right):
-            if b not in self.cover and not self._augment(_SNK, 2 * b + 1, self._bfs):
+            if b not in self.cover and not self._augment(_SNK, 2 * b + 1):
                 return False
         return True
 
     # -- residual search --------------------------------------------------
 
-    def _bfs(self, start: int, target: int) -> dict[int, int] | None:
-        """Parent pointers of a breadth-first residual search, start mapped
-        to itself, returned once target is reached; None if unreachable."""
-        parent: dict[int, int] = {start: start}
-        queue: deque[int] = deque((start,))
-        cover = self.cover
-        pinned = self.pinned
-        while queue:
-            u = queue.popleft()
-            if u == _SNK:
-                for b in self.req.optional_right:
-                    v = 2 * b + 1
-                    if b in cover and v not in parent:
-                        parent[v] = u
-                        if v == target:
-                            return parent
-                        queue.append(v)
-            elif u % 2 == 0:  # left vertex
-                a = u // 2
-                for b in self.cand[a]:
-                    v = 2 * b + 1
-                    if v in parent or cover.get(b) == a:
-                        continue
-                    parent[v] = u
-                    if v == target:
-                        return parent
-                    queue.append(v)
-            else:  # right vertex
-                b = u // 2
-                # Exact for uncovered rights too (they go to the sink): an
-                # uncovered right is never pinned, as pins stay in the witness.
-                if b not in pinned:
-                    a2 = cover.get(b)
-                    v = _SNK if a2 is None else 2 * a2
-                    if v not in parent:
-                        parent[v] = u
-                        if v == target:
-                            return parent
-                        queue.append(v)
-        return None
-
-    def _augment(
-        self, start: int, target: int, search: Callable[[int, int], dict[int, int] | None]
-    ) -> bool:
-        """Reroute the witness along a start-target path found by ``search``,
+    def _augment(self, start: int, target: int) -> bool:
+        """Reroute the witness along a start-target path found by ``_meet``,
         walked back from target: left->right sets ``cover[b] = a``,
         right->left deletes ``cover[b]``, sink arcs change nothing.  The walk
         must be last-first: a rerouted right leaves its old star before it
         joins the new one, so its delete comes before its write."""
-        parent = search(start, target)
+        parent = self._meet(start, target)
         if parent is None:
             return False
         v = target
@@ -237,16 +192,20 @@ class _Solver:
         return True
 
     def _meet(self, start: int, target: int) -> dict[int, int] | None:
-        """The residual search of _bfs grown from both ends: forward from
-        start along _bfs's arcs and backward from target along the same arcs
-        reversed, each round expanding one whole level of the smaller
-        frontier.  Where the halves meet, the backward half is spliced onto
-        the parent pointers, so the result reads as _bfs's does; None if
-        target is unreachable.
+        """Parent pointers of a breadth-first residual search, start mapped
+        to itself and returned once start and target are joined; None if
+        target is unreachable.  The search grows forward from start and
+        backward from target along the same arcs reversed, each round
+        expanding one whole level of the smaller frontier; where the halves
+        meet, the backward half is spliced onto the parent pointers.
 
-        Only ``_force`` calls it, after ``prepare`` has covered every
-        required right, so the sink's predecessors, the uncovered rights,
-        are exactly the uncovered optional rights."""
+        The sink's backward frontier would be every uncovered right, so a
+        search for the sink (phase 1) grows forward only.  Phase 2 starts at
+        the sink, so a backward step that reaches it splices at once.  Only
+        ``_force`` may expand the sink backward, and it runs after
+        ``prepare`` has covered every required right: the sink's
+        predecessors, the uncovered rights, are then the uncovered optional
+        rights."""
         cand = self.cand
         cover = self.cover
         pinned = self.pinned
@@ -256,19 +215,31 @@ class _Solver:
         ahead, behind = [start], [target]
         while ahead and behind:
             level: list[int] = []
-            if len(ahead) <= len(behind):
+            if target == _SNK or len(ahead) <= len(behind):
                 for u in ahead:
                     if u == _SNK:
-                        succ = [2 * b + 1 for b in optional if b in cover]
-                    elif u % 2 == 0:
+                        for b in optional:
+                            v = 2 * b + 1
+                            if b in cover and v not in parent:
+                                parent[v] = u
+                                if v in child:
+                                    return self._splice(parent, child, v)
+                                level.append(v)
+                    elif u % 2 == 0:  # left vertex
                         a = u // 2
-                        succ = [2 * b + 1 for b in cand[a] if cover.get(b) != a]
-                    elif u // 2 in pinned:
-                        continue
-                    else:
+                        for b in cand[a]:
+                            v = 2 * b + 1
+                            if v in parent or cover.get(b) == a:
+                                continue
+                            parent[v] = u
+                            if v in child:
+                                return self._splice(parent, child, v)
+                            level.append(v)
+                    # Exact for uncovered rights too (they go to the sink): an
+                    # uncovered right is never pinned, as pins stay in the witness.
+                    elif u // 2 not in pinned:
                         a2 = cover.get(u // 2)
-                        succ = [_SNK if a2 is None else 2 * a2]
-                    for v in succ:
+                        v = _SNK if a2 is None else 2 * a2
                         if v not in parent:
                             parent[v] = u
                             if v in child:
@@ -318,7 +289,7 @@ class _Solver:
         """Try to reroute the witness so edge (a, b) joins it: a residual
         path from 2b+1 to 2a, found by the two-ended ``_meet``, hands one of
         a's partners on and so frees a slot at a for b."""
-        if not self._augment(2 * b + 1, 2 * a, self._meet):
+        if not self._augment(2 * b + 1, 2 * a):
             return False
         self.cover[b] = a
         return True
@@ -410,23 +381,24 @@ def brute_force_harem(req: MatchingRequest) -> Iterator[HaremMatching]:
             f"brute force capped at {BRUTE_MAX_LEFT}x{BRUTE_MAX_RIGHT}, "
             f"got {len(g.left_ids)}x{len(g.right_ids)}"
         )
-    lefts = g.left_ids
-    # unreached[pos]: the required rights no row from lefts[pos] on reaches;
-    # a branch that has not used them all yet cannot complete.
-    unreached = [req.required_right]
+    lefts, k, required = g.left_ids, req.k, req.required_right
+    # unreached[pos]: the required rights no row from lefts[pos] on reaches.
+    # A branch cannot complete while it leaves one of them unused, or more
+    # required rights unused than the k new partners of each later left.
+    unreached = [required]
     for a in reversed(lefts):
         unreached.append(unreached[-1] - set(g.adjacency[a]))
     unreached.reverse()
 
     def rec(pos: int, used: set[int], acc: list[tuple[int, tuple[int, ...]]]):
-        if not unreached[pos] <= used:
+        if not unreached[pos] <= used or len(required - used) > k * (len(lefts) - pos):
             return
         if pos == len(lefts):
             yield HaremMatching(stars=dict(acc))
             return
         a = lefts[pos]
         avail = [b for b in g.adjacency[a] if b not in used]
-        for star in itertools.combinations(avail, req.k):
+        for star in itertools.combinations(avail, k):
             used.update(star)
             acc.append((a, star))
             yield from rec(pos + 1, used, acc)

@@ -241,6 +241,24 @@ def test_solver_agrees_with_brute_force(req):
         assert verify_matching(req, got).ok
 
 
+def naive_enumeration(req):
+    """Every feasible star map in lexicographic order: the product of each
+    left's k-subsets of its row, kept when no right is used twice and every
+    required right is used."""
+    g = req.graph
+    rows = (itertools.combinations(g.adjacency[a], req.k) for a in g.left_ids)
+    for stars in itertools.product(*rows):
+        used = [b for star in stars for b in star]
+        if len(used) == len(set(used)) and req.required_right <= set(used):
+            yield dict(zip(g.left_ids, stars))
+
+
+@given(requests())
+@settings(max_examples=120, deadline=None)
+def test_brute_force_enumerates_every_matching_in_order(req):
+    assert [m.stars for m in brute_force_harem(req)] == list(naive_enumeration(req))
+
+
 # -- beyond brute-force sizes ----------------------------------------------------
 
 
@@ -408,27 +426,76 @@ def test_canonical_star_map_pinned(
     assert digest([solve_star(req, v) for v in pivots]) == pivots_sha
 
 
+def residual_reach(req, cover, pinned, start):
+    """Every node reachable from start in the residual network of the
+    witness ``cover`` (right -> left), built from the arc definitions alone:
+    a left reaches each candidate it does not hold, an unpinned right its
+    owner or, uncovered, the sink, and the sink each covered optional
+    right.  Nodes are ("L", a), ("R", b) and "sink"."""
+
+    def arcs(node):
+        if node == "sink":
+            return [("R", b) for b in req.optional_right if b in cover]
+        side, x = node
+        if side == "L":
+            return [("R", b) for b in req.graph.adjacency[x] if cover.get(b) != x]
+        if x in pinned:
+            return []
+        return [("L", cover[x]) if x in cover else "sink"]
+
+    seen, todo = {start}, [start]
+    while todo:
+        for v in arcs(todo.pop()):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen, arcs
+
+
+def node_name(u):
+    """The reference's name for a solver node (2a, 2b+1 or _SNK)."""
+    return "sink" if u == _SNK else ("L", u // 2) if u % 2 == 0 else ("R", u // 2)
+
+
 class _CheckedSolver(_Solver):
-    """Decides each reroute of the canonical pass with the forward _bfs as
-    well, and records both answers.  Counts the two-ended searches that
-    met after a forward and after a backward step out of the sink."""
+    """Checks every residual search against ``residual_reach``: the search
+    returns None exactly when the reference finds no path, and otherwise
+    its parent pointers from target back to start are residual arcs of the
+    witness as it was before the search.  Records each search's kind and
+    answer, and counts the ``_force`` searches that met after a forward and
+    after a backward step out of the sink."""
 
     def __init__(self, req):
         super().__init__(req)
         self.answers = []
         self.sink_steps = [0, 0]
 
-    def _force(self, a, b):
-        forward = self._bfs(2 * b + 1, 2 * a) is not None
-        two_ended = super()._force(a, b)
-        self.answers.append((forward, two_ended))
-        return two_ended
+    @staticmethod
+    def kind(start):
+        return "phase 2" if start == _SNK else "phase 1" if start % 2 == 0 else "force"
+
+    def _meet(self, start, target):
+        self.current = self.kind(start)
+        cover, pinned = dict(self.cover), set(self.pinned)
+        reach, arcs = residual_reach(self.req, cover, pinned, node_name(start))
+        parent = super()._meet(start, target)
+        assert (parent is not None) == (node_name(target) in reach)
+        v = target
+        for _ in range(len(parent or ())):
+            if v == start:
+                break
+            assert node_name(v) in arcs(node_name(parent[v]))
+            v = parent[v]
+        assert parent is None or v == start
+        self.answers.append((self.current, parent is not None))
+        return parent
 
     def _splice(self, parent, child, m):
         # Only a forward step out of the sink maps a node to it in parent,
         # only a backward one in child.
-        self.sink_steps[0] += _SNK in parent.values()
-        self.sink_steps[1] += _SNK in child.values()
+        if self.current == "force":
+            self.sink_steps[0] += _SNK in parent.values()
+            self.sink_steps[1] += _SNK in child.values()
         return super()._splice(parent, child, m)
 
 
@@ -442,14 +509,13 @@ def test_two_ended_search_agrees_with_forward_bfs():
             rng.random() * 0.5, planted=i % 3 != 0,
         )
         solver = _CheckedSolver(req)
-        if not solver.prepare():
-            continue
-        solver.greedy(None)
-        assert all(forward == two_ended for forward, two_ended in solver.answers), i
-        assert solver.matching() == solve_harem(req)
-        answers.update(two_ended for _, two_ended in solver.answers)
+        if solver.prepare():
+            solver.greedy(None)
+            assert solver.matching() == solve_harem(req)
+        answers.update(solver.answers)
         sink_steps = [x + y for x, y in zip(sink_steps, solver.sink_steps)]
-    assert answers == {True, False}
+    assert {kind for kind, _ in answers} == {"phase 1", "phase 2", "force"}
+    assert {found for kind, found in answers if kind == "force"} == {True, False}
     assert min(sink_steps) > 0, sink_steps
 
 
@@ -470,10 +536,10 @@ class _SearchPerPartnerSolver(_Solver):
             return False
         for a in self.lefts:
             for _ in range(self.k):
-                if not self._augment(2 * a, _SNK, self._bfs):
+                if not self._augment(2 * a, _SNK):
                     return False
         for b in sorted(req.required_right):
-            if b not in self.cover and not self._augment(_SNK, 2 * b + 1, self._bfs):
+            if b not in self.cover and not self._augment(_SNK, 2 * b + 1):
                 return False
         return True
 
@@ -483,9 +549,9 @@ class _CountedSolver(_Solver):
 
     left_searches = 0
 
-    def _bfs(self, start, target):
+    def _meet(self, start, target):
         self.left_searches += start % 2 == 0  # the sink, -1, is odd
-        return super()._bfs(start, target)
+        return super()._meet(start, target)
 
 
 def test_first_free_phase_one_keeps_witness():
@@ -514,19 +580,50 @@ def test_first_free_phase_one_keeps_witness():
 
 def test_f2_steps_make_no_residual_search(monkeypatch):
     # Every left of the F2 balls at steps 0-1 finds k free candidates in its
-    # row; one search per partner made 59,370 calls here.
+    # row, and the canonical pass forces no edge; one search per partner
+    # made 59,370 calls here.
     starts = []
-    bfs = _Solver._bfs
+    meet = _Solver._meet
 
     def counted(self, start, target):
         starts.append(start)
-        return bfs(self, start, target)
+        return meet(self, start, target)
 
-    monkeypatch.setattr(_Solver, "_bfs", counted)
+    monkeypatch.setattr(_Solver, "_meet", counted)
     decomp = ParadoxDecomp(tight_spec(2))
     decomp.run_steps(2)
     assert sorted(decomp.engine.stars.items()) == [(0, (0, 1)), (2, (2, 8))]
     assert starts == []
+
+
+class _PhaseTwoSolver(_Solver):
+    """Counts the searches that start at the sink (phase 2) and the nodes
+    they leave in parent and child pointers."""
+
+    def __init__(self, req):
+        super().__init__(req)
+        self.searches = self.nodes = 0
+
+    def _meet(self, start, target):
+        self.phase_two = start == _SNK
+        self.searches += self.phase_two
+        return super()._meet(start, target)
+
+    def _splice(self, parent, child, m):
+        if self.phase_two:
+            self.nodes += len(parent) + len(child)
+        return super()._splice(parent, child, m)
+
+
+def test_phase_two_search_grows_from_both_ends():
+    # A forward search from the sink walks every covered optional right
+    # first: here it left 216,631 nodes in parent pointers, against 23,444
+    # parent and child nodes for the two-ended search.
+    req = shell_request(random.Random(4), 1000, 2, 6, 200, 0.02)
+    solver = _PhaseTwoSolver(req)
+    assert solver.prepare()
+    assert solver.searches == 145
+    assert 0 < solver.nodes < 60_000, solver.nodes
 
 
 # -- verify_matching ----------------------------------------------------------
