@@ -93,6 +93,32 @@ class FiniteBipartiteGraph:
             missing = sorted(left_set.difference(self.adjacency))
             raise ValueError(f"adjacency has no row for left ids {missing}")
 
+    @classmethod
+    def _from_ball(
+        cls,
+        left_ids: tuple[int, ...],
+        right_ids: tuple[int, ...],
+        adjacency: dict[int, tuple[int, ...]],
+    ) -> "FiniteBipartiteGraph":
+        """The graph ``extract_ball`` built, without ``__post_init__``'s
+        checks, which extraction's own invariant replaces one by one:
+
+        - the ids are sorted and unique: they are the sorted keys of a dict;
+        - every left has a row: every ball left is strictly inside the
+          radius, so its row was read;
+        - every row is strictly increasing and non-negative: each read row
+          is checked, and filtering out removed rights keeps the order;
+        - every row entry is a ball right: each neighbor of a read row is
+          either removed, and filtered out, or added to the ball.
+
+        Nothing but ``extract_ball`` calls it.
+        """
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "left_ids", left_ids)
+        object.__setattr__(graph, "right_ids", right_ids)
+        object.__setattr__(graph, "adjacency", adjacency)
+        return graph
+
     @staticmethod
     def from_adjacency(
         adjacency: Mapping[int, Iterable[int]],
@@ -158,7 +184,8 @@ class BallSubgraph:
 
     @property
     def interior_right(self) -> frozenset[int]:
-        return frozenset(self.graph.right_ids) - self.shell_right
+        shell = self.shell_right
+        return frozenset(b for b in self.graph.right_ids if b not in shell)
 
 
 def extract_ball(
@@ -255,7 +282,7 @@ def extract_ball(
     for a, row in lefts.items():
         if not removed_right.isdisjoint(row):
             lefts[a] = tuple(j for j in row if j not in removed_right)
-    graph = FiniteBipartiteGraph(tuple(sorted(lefts)), tuple(sorted(rights)), lefts)
+    graph = FiniteBipartiteGraph._from_ball(tuple(sorted(lefts)), tuple(sorted(rights)), lefts)
     return BallSubgraph(graph=graph, shell_right=shell)
 
 

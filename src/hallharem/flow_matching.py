@@ -46,11 +46,21 @@ class MatchingRequest:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.required_left != set(self.graph.left_ids):
+        # The graph's ids are unique, so a size check plus membership is
+        # set equality, with no copy of the ids.
+        lefts, rights = self.graph.left_ids, self.graph.right_ids
+        required_left, required, optional = (
+            self.required_left, self.required_right, self.optional_right
+        )
+        if len(required_left) != len(lefts) or not all(
+            a in required_left for a in lefts
+        ):
             raise ValueError("required_left must be every left id")
-        if self.required_right & self.optional_right:
+        if not required.isdisjoint(optional):
             raise ValueError("required_right and optional_right must be disjoint")
-        if self.required_right | self.optional_right != set(self.graph.right_ids):
+        if len(required) + len(optional) != len(rights) or not all(
+            b in required or b in optional for b in rights
+        ):
             raise ValueError(
                 "required_right and optional_right must together be every right id"
             )
@@ -259,11 +269,12 @@ class _Solver:
                             if cover.get(b) == a and b not in pinned
                         ]
                     else:
-                        # Every left of b but its owner; the owner is b's
-                        # successor, so it is already in child.
+                        # Every left of b but its owner, and the sink if b
+                        # is optional.  b's successor (its owner, or the
+                        # sink if b is uncovered) is already in child.
                         b = v // 2
                         pred = [2 * a for a in radj.get(b, ())]
-                        if b in cover and b in optional:
+                        if b in optional:
                             pred.append(_SNK)
                     for u in pred:
                         if u not in child:

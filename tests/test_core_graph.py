@@ -204,6 +204,8 @@ def test_f2_ball_with_removed_rights_matches_brute(f2_oracle, pivot, radius):
     removed_left = {5}
     removed_right = {0, 1, 8, 14, 30, 41}
     ball = extract_ball(f2_oracle, removed_left, removed_right, pivot, radius)
+    g = ball.graph
+    assert FiniteBipartiteGraph(g.left_ids, g.right_ids, dict(g.adjacency)) == g
     probed = ProbeOnlySet(removed_left), ProbeOnlySet(removed_right)
     assert extract_ball(f2_oracle, *probed, pivot, radius) == ball
     dist = brute_ball(f2_oracle, removed_left, removed_right, pivot, radius)
@@ -360,6 +362,9 @@ def test_ball_matches_brute_past_closure():
         for radius in range(first, 2 * len(g.left_ids) + 4, 2):
             oracle, reads = counting_oracle(g)
             ball = extract_ball(oracle, removed_left, removed_right, pivot, radius)
+            # Extraction skips the constructor's checks; they accept its graph.
+            bg = ball.graph
+            assert FiniteBipartiteGraph(bg.left_ids, bg.right_ids, dict(bg.adjacency)) == bg
             # The engine passes dict key views, read in place.
             n_reads = len(reads)
             viewed = extract_ball(

@@ -149,19 +149,26 @@ def test_solve_star_rejects_pivot(req, pivot, message):
 def test_request_validation():
     g = k12()
     lefts, rights = frozenset({0}), frozenset({0, 1})
-    with pytest.raises(ValueError):
+    every_left = "required_left must be every left id"
+    every_right = "required_right and optional_right must together be every right id"
+    with pytest.raises(ValueError, match="k must be >= 1"):
         MatchingRequest(g, 0, lefts, rights, frozenset())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=every_left):
         MatchingRequest(g, 1, frozenset({9}), rights, frozenset())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="required_right and optional_right must be disjoint"):
         MatchingRequest(g, 1, lefts, rights, frozenset({0}))
     # every left is required
     g2 = graph({0: (0, 1), 1: (1,)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=every_left):
         MatchingRequest(g2, 1, lefts, rights, frozenset())
     # every right is required or optional
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=every_right):
         MatchingRequest(g, 1, lefts, frozenset({0}), frozenset())
+    # and no other id is
+    with pytest.raises(ValueError, match=every_left):
+        MatchingRequest(g, 1, frozenset({0, 9}), rights, frozenset())
+    with pytest.raises(ValueError, match=every_right):
+        MatchingRequest(g, 1, lefts, frozenset({0, 1, 9}), frozenset())
 
 
 # -- brute force -------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -188,6 +189,21 @@ def test_engine_exhausted():
     eng.run_step()
     with pytest.raises(EngineExhausted):
         eng.run_step()
+
+
+def test_f2_steps_hold_each_ball_once():
+    # Steps 0 and 1 peak at about 21 MB traced.  Re-validating the ball in
+    # FiniteBipartiteGraph and copying its ids to check the request lifted
+    # the peak to about 27 MB.
+    tracemalloc.start()
+    try:
+        d = ParadoxDecomp(tight_spec(2))
+        d.run_steps(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.engine.stars == {0: (0, 1), 2: (2, 8)}
+    assert peak < 24_000_000, peak
 
 
 # -- exhaustion and invariants --------------------------------------------------
