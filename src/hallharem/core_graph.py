@@ -7,7 +7,7 @@ so matchings extracted from local subgraphs are stated in global indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import lt

@@ -13,19 +13,19 @@ grows from both ends, because a forward search alone visits most of the
 network on each try; a path to the sink grows forward only, as the sink's
 backward frontier would be every uncovered right.
 
-``check_hall_harem`` and ``check_expanding_hall_witness`` are exhaustive
-subset-condition checkers used as independent oracles in the test suite;
-``brute_force_harem`` enumerates every feasible matching outright.
+``check_hall_harem`` is an exhaustive subset-condition checker used as an
+independent oracle in the test suite; ``brute_force_harem`` enumerates
+every feasible matching outright.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .core_graph import FiniteBipartiteGraph, Side, Vertex
-from .errors import InternalError, SizeGuardError, WitnessError
+from .errors import InternalError, SizeGuardError
 
 _SNK = -1
 
@@ -447,7 +447,7 @@ def verify_matching(req: MatchingRequest, m: HaremMatching) -> MatchingReport:
 # -- exhaustive condition checkers ---------------------------------------
 
 
-def _left_neighborhood_masks(graph: FiniteBipartiteGraph) -> tuple[list[int], dict[int, int]]:
+def _left_neighborhood_masks(graph: FiniteBipartiteGraph) -> list[int]:
     rpos = {b: p for p, b in enumerate(graph.right_ids)}
     masks = []
     for a in graph.left_ids:
@@ -455,7 +455,7 @@ def _left_neighborhood_masks(graph: FiniteBipartiteGraph) -> tuple[list[int], di
         for b in graph.adjacency[a]:
             mask |= 1 << rpos[b]
         masks.append(mask)
-    return masks, rpos
+    return masks
 
 
 def _subset_neighborhoods(masks: list[int]) -> list[int]:
@@ -508,7 +508,7 @@ def check_hall_harem(graph: FiniteBipartiteGraph, k: int) -> bool:
     if k < 1:
         raise ValueError("k must be >= 1")
     _guard_hall(graph)
-    masks, _ = _left_neighborhood_masks(graph)
+    masks = _left_neighborhood_masks(graph)
     nbh = _subset_neighborhoods(masks)
     for s in range(1, 1 << len(masks)):
         if nbh[s].bit_count() < k * s.bit_count():
@@ -517,53 +517,4 @@ def check_hall_harem(graph: FiniteBipartiteGraph, k: int) -> bool:
     for s in range(1 << len(masks)):
         if count[s] and k * union[s].bit_count() < count[s]:
             return False
-    return True
-
-
-def check_expanding_hall_witness(
-    graph: FiniteBipartiteGraph,
-    k: int,
-    h: Callable[[int], int],
-    n_max: int,
-) -> bool:
-    """Exhaustive check of expanding Hall margins under a witness h.
-
-    True iff for every n <= n_max: every nonempty left X with h(n) <= |X|
-    has n <= |N(X)| - k|X|, and every nonempty right Y with h(n) <= |Y| has
-    n <= |N(Y)| - |Y|/k.  Comparisons are exact (cross-multiplied by k).
-    No monotonicity of h is assumed.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if h(0) != 0:
-        raise WitnessError("witness must satisfy h(0) = 0")
-    _guard_hall(graph)
-    masks, _ = _left_neighborhood_masks(graph)
-    nbh = _subset_neighborhoods(masks)
-    m = len(masks)
-    worst_left: dict[int, int] = {}
-    for s in range(1, 1 << m):
-        size = s.bit_count()
-        margin = nbh[s].bit_count() - k * size
-        if margin < worst_left.get(size, margin + 1):
-            worst_left[size] = margin
-    count, union = _right_closure_tables(graph)
-    worst_right: dict[int, int] = {}  # k-scaled margins, keyed by |Y|
-    for s in range(1 << m):
-        y = count[s]
-        if y == 0:
-            continue
-        scaled = k * union[s].bit_count() - y
-        if scaled < worst_right.get(y, scaled + 1):
-            worst_right[y] = scaled
-    for n in range(n_max + 1):
-        threshold = h(n)
-        for size, margin in worst_left.items():
-            if threshold <= size and n > margin:
-                return False
-        for y, scaled in worst_right.items():
-            if threshold <= y and k * n > scaled:
-                return False
     return True

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from hallharem.core_graph import FiniteBipartiteGraph, Side, Vertex
 from hallharem.decomposition import ParadoxDecomp, tight_spec
-from hallharem.errors import SizeGuardError, WitnessError
+from hallharem.errors import SizeGuardError
 from hallharem.flow_matching import (
     _SNK,
     HaremMatching,
     MatchingRequest,
     _Solver,
     brute_force_harem,
-    check_expanding_hall_witness,
     check_hall_harem,
     solve_harem,
     solve_star,
@@ -50,29 +49,6 @@ def naive_hall(g, k):
                 n.update(g.neighbors_right(b))
             if k * len(n) < size:
                 return False
-    return True
-
-
-def naive_expanding_hall(g, k, h, n_max):
-    for n in range(n_max + 1):
-        for size in range(1, len(g.left_ids) + 1):
-            if h(n) > size:
-                continue
-            for xs in itertools.combinations(g.left_ids, size):
-                nb = set()
-                for a in xs:
-                    nb.update(g.adjacency.get(a, ()))
-                if n > len(nb) - k * size:
-                    return False
-        for size in range(1, len(g.right_ids) + 1):
-            if h(n) > size:
-                continue
-            for ys in itertools.combinations(g.right_ids, size):
-                nb = set()
-                for b in ys:
-                    nb.update(g.neighbors_right(b))
-                if k * n > k * len(nb) - size:
-                    return False
     return True
 
 
@@ -707,46 +683,3 @@ def test_hall_guard():
     g = graph({a: () for a in range(21)}, nr=1)
     with pytest.raises(SizeGuardError):
         check_hall_harem(g, 1)
-
-
-# -- expanding margins ----------------------------------------------------------
-
-
-def test_expanding_hall_witness_must_vanish_at_zero():
-    with pytest.raises(WitnessError):
-        check_expanding_hall_witness(k12(), 2, lambda n: 1, 1)
-
-
-def test_expanding_hall_n_max_zero_is_plain_hall():
-    import random
-
-    rng = random.Random(5)
-    for _ in range(60):
-        adj = {
-            a: tuple(sorted(rng.sample(range(6), rng.randint(0, 6))))
-            for a in range(3)
-        }
-        g = FiniteBipartiteGraph((0, 1, 2), tuple(range(6)), adj)
-        assert check_expanding_hall_witness(g, 2, lambda n: n, 0) == check_hall_harem(g, 2)
-
-
-def test_expanding_hall_vacuous_witness_reduces_to_hall():
-    g = graph({0: (0, 1), 1: (0, 1)})  # |B| <= |A|, so both sides vacuous
-    h = lambda n: 0 if n == 0 else 3
-    assert check_expanding_hall_witness(g, 1, h, 5) == check_hall_harem(g, 1)
-
-
-def test_expanding_hall_matches_naive():
-    import random
-
-    rng = random.Random(17)
-    witnesses = [lambda n: n, lambda n: 0 if n == 0 else 2, lambda n: 2 * n]
-    for _ in range(40):
-        adj = {
-            a: tuple(sorted(rng.sample(range(5), rng.randint(0, 5))))
-            for a in range(3)
-        }
-        g = FiniteBipartiteGraph((0, 1, 2), tuple(range(5)), adj)
-        for h in witnesses:
-            for k in (1, 2):
-                assert check_expanding_hall_witness(g, k, h, 2) == naive_expanding_hall(g, k, h, 2)

@@ -10,7 +10,6 @@ from hallharem.decomposition import ParadoxDecomp, tight_spec
 from hallharem.errors import BallBudgetExceeded, WitnessRefuted, EngineExhausted, WitnessError
 from hallharem.flow_matching import (
     MatchingRequest,
-    check_expanding_hall_witness,
     check_hall_harem,
     solve_harem,
     verify_matching,
@@ -255,8 +254,7 @@ def test_replay_determinism():
 
 
 def test_residual_keeps_hall_condition():
-    # the graph minus committed stars still satisfies the Hall condition,
-    # and the shifted vacuous witness still passes at its base margin
+    # the graph minus committed stars still satisfies the Hall condition
     rng = random.Random(23)
     g = random_plantable(rng, 6)
     eng = EngineState(g.as_oracle(), k=2, h=vacuous_witness(6))
@@ -271,7 +269,6 @@ def test_residual_keeps_hall_condition():
             right_ids=set(g.right_ids) - eng.removed_right,
         )
         assert check_hall_harem(residual, 2)
-        assert check_expanding_hall_witness(residual, 2, eng.shifted_h(), 0)
 
 
 def test_engine_matches_direct_solver_validity():
