@@ -13,7 +13,9 @@ from functools import cached_property
 from operator import lt
 from typing import AbstractSet, Callable, Iterable, Mapping
 
-from .errors import BallBudgetExceeded, OracleError, ParityError, ParseError
+from .errors import BallBudgetExceeded, OracleError, ParseError
+
+DEFAULT_MAX_BALL = 5_000_000
 
 
 class Side(Enum):
@@ -194,7 +196,7 @@ def extract_ball(
     removed_right: AbstractSet[int],
     pivot: Vertex,
     radius: int,
-    max_vertices: int | None = None,
+    max_vertices: int = DEFAULT_MAX_BALL,
 ) -> BallSubgraph:
     """Breadth-first extraction of the induced ball around ``pivot``.
 
@@ -205,20 +207,20 @@ def extract_ball(
     finds no new vertex: the ball is then the pivot's whole residual
     component and ``shell_right`` is empty, so an empty shell means a closed
     residual component.  The work is thus per ball vertex, not per radius
-    level.  Raises ParityError on a radius/side mismatch, OracleError if a
-    queried row is not a strictly increasing run of naturals or the rows
-    fail symmetry on the pairs queried in both directions, and
-    BallBudgetExceeded past ``max_vertices`` (None for no budget; a budget
-    below 1 is a ValueError, raised before any row is read).
+    level.  Raises ValueError on a radius/side mismatch or a budget below
+    1, before any row is read; OracleError if a queried row is not a
+    strictly increasing run of naturals or the rows fail symmetry on the
+    pairs queried in both directions; and BallBudgetExceeded past
+    ``max_vertices``.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    if max_vertices is not None and max_vertices < 1:
+    if max_vertices < 1:
         raise ValueError(f"max_vertices must be >= 1, got {max_vertices}")
     if pivot.side is Side.LEFT and radius % 2 == 0:
-        raise ParityError(f"left pivot needs an odd radius, got {radius}")
+        raise ValueError(f"left pivot needs an odd radius, got {radius}")
     if pivot.side is Side.RIGHT and radius % 2 == 1:
-        raise ParityError(f"right pivot needs an even radius, got {radius}")
+        raise ValueError(f"right pivot needs an even radius, got {radius}")
     home_left = pivot.side is Side.LEFT
     skip_next, skip = (removed_left, removed_right) if home_left else (removed_right, removed_left)
     if pivot.index in skip_next:
@@ -249,7 +251,7 @@ def extract_ball(
                     continue
                 theirs[j] = None
                 size += 1
-                if max_vertices is not None and size > max_vertices:
+                if size > max_vertices:
                     raise BallBudgetExceeded(
                         f"ball around {pivot!r} exceeds {max_vertices} vertices"
                     )
@@ -348,11 +350,6 @@ def parse_bg(text: str | bytes) -> tuple[FiniteBipartiteGraph, int | None]:
         tuple(sorted(adjacency)), tuple(sorted(rights)), adjacency
     )
     return graph, k
-
-
-def load_finite_graph(text: str | bytes) -> FiniteBipartiteGraph:
-    """Parse a .bg document, discarding the optional k header."""
-    return parse_bg(text)[0]
 
 
 def dump_bg(graph: FiniteBipartiteGraph, k: int | None = None) -> str:

@@ -5,10 +5,6 @@ class HallHaremError(Exception):
     """Base class for all library errors."""
 
 
-class ParityError(HallHaremError):
-    """Ball radius parity does not match the pivot side."""
-
-
 class OracleError(HallHaremError):
     """A neighborhood oracle returned inconsistent data."""
 
@@ -25,10 +21,6 @@ class SizeGuardError(HallHaremError):
     """Input exceeds the guard of an exhaustive operation."""
 
 
-class WitnessError(HallHaremError):
-    """Malformed margin witness (must map 0 to 0)."""
-
-
 class WitnessRefuted(HallHaremError):
     """A local matching came back infeasible: the margin witness is not
     valid for this graph."""
@@ -40,14 +32,6 @@ class BallBudgetExceeded(HallHaremError):
 
 class EngineExhausted(HallHaremError):
     """Both sides of a finite oracle are fully matched."""
-
-
-class RankMismatch(HallHaremError):
-    """Words from free groups of different ranks were combined."""
-
-
-class EmptySetError(HallHaremError):
-    """An operation requires a non-empty finite set."""
 
 
 class InternalError(HallHaremError):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptySetError, RankMismatch, SizeGuardError
+from .errors import SizeGuardError
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def reduce(rank: int, letters: Iterable[int]) -> Word:
 
 def mul(x: Word, y: Word) -> Word:
     if x.rank != y.rank:
-        raise RankMismatch(f"rank {x.rank} vs {y.rank}")
+        raise ValueError(f"rank {x.rank} vs {y.rank}")
     return reduce(x.rank, x.letters + y.letters)
 
 
@@ -152,7 +152,7 @@ class Enumeration:
 
     def word_to_index(self, w: Word) -> int:
         if w.rank != self.rank:
-            raise RankMismatch(f"rank {w.rank} vs {self.rank}")
+            raise ValueError(f"rank {w.rank} vs {self.rank}")
         length = len(w.letters)
         if length == 0:
             return 0
@@ -310,7 +310,7 @@ class GeneratorSet:
         pool = {0}
         for w in words:
             if w.rank != rank:
-                raise RankMismatch(f"rank {w.rank} vs {rank}")
+                raise ValueError(f"rank {w.rank} vs {rank}")
             pool.add(e.word_to_index(w))
             pool.add(e.word_to_index(inv(w)))
         return GeneratorSet(
@@ -332,16 +332,6 @@ class GeneratorSet:
         return GeneratorSet(self.rank, tuple(map(e.index_to_word, ball(self, 0, n))))
 
 
-class OverCap:
-    """Sentinel: the distance exceeds the requested cap (possibly infinite)."""
-
-    def __repr__(self) -> str:
-        return "OverCap"
-
-
-OVER_CAP = OverCap()
-
-
 def _levels(r_set: GeneratorSet, center: int) -> Iterator[list[int]]:
     """The points at exactly 0, 1, 2, ... steps from ``center``, one level
     at a time, found breadth first over ``act``; ends at the first empty one.
@@ -360,15 +350,16 @@ def _levels(r_set: GeneratorSet, center: int) -> Iterator[list[int]]:
         level = found
 
 
-def d_r(r_set: GeneratorSet, x: int, y: int, cap: int) -> int | OverCap:
+def d_r(r_set: GeneratorSet, x: int, y: int, cap: int) -> int | None:
     """Least number of applications of elements of ``r_set`` mapping x to y,
-    computed by breadth-first search; OVER_CAP if more than ``cap``."""
+    computed by breadth-first search; None if more than ``cap`` (possibly
+    infinite)."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
     for dist, level in zip(range(cap + 1), _levels(r_set, x)):
         if y in level:
             return dist
-    return OVER_CAP
+    return None
 
 
 def ball(r_set: GeneratorSet, center: int, radius: int) -> tuple[int, ...]:
@@ -390,7 +381,7 @@ def is_folner(k_words: Sequence[Word], n: int, f_set: Iterable[int]) -> bool:
         raise ValueError("n must be >= 1")
     f = frozenset(f_set)
     if not f:
-        raise EmptySetError("F must be non-empty")
+        raise ValueError("F must be non-empty")
     for k in k_words:
         image = {act(k, x) for x in f}
         if n * len(f - image) >= len(f):
@@ -441,7 +432,7 @@ def wbt_free(k_words: Sequence[Word]) -> tuple[Word, Word] | None:
     rank = k_words[0].rank
     for w in k_words:
         if w.rank != rank:
-            raise RankMismatch(f"rank {w.rank} vs {rank}")
+            raise ValueError(f"rank {w.rank} vs {rank}")
     e = enumeration(rank)
     pool = sorted({e.word_to_index(w) for w in k_words})
     words = [e.index_to_word(i) for i in pool]

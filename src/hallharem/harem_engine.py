@@ -21,11 +21,9 @@ from collections.abc import KeysView
 from dataclasses import dataclass
 from typing import Callable
 
-from .core_graph import BipartiteOracle, Side, Vertex, extract_ball
-from .errors import WitnessRefuted, EngineExhausted, WitnessError
+from .core_graph import DEFAULT_MAX_BALL, BipartiteOracle, Side, Vertex, extract_ball
+from .errors import WitnessRefuted, EngineExhausted
 from .flow_matching import MatchingRequest, solve_star
-
-DEFAULT_MAX_BALL = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,7 @@ class HWitness:
 
     def __post_init__(self) -> None:
         if self.eval(0) != 0:
-            raise WitnessError(f"{self.description}: h(0) must be 0")
+            raise ValueError(f"{self.description}: h(0) must be 0")
 
 
 def identity_witness() -> HWitness:
@@ -178,27 +176,26 @@ class EngineState:
         self.step += 1
         return a, star
 
+    def _match(self, side: Side, i: int, matched: dict):
+        """The committed entry of vertex i of ``side`` in ``matched``,
+        running steps until there is one."""
+        name = "left" if side is Side.LEFT else "right"
+        if i < 0:
+            raise ValueError(f"{name} vertex must be >= 0, got {i}")
+        support = self.oracle.support(side)
+        if support is not None and i not in support:
+            raise ValueError(f"{name} vertex {i} is not in the oracle support")
+        while i not in matched:
+            self.run_step()
+        return matched[i]
+
     def match_left(self, i: int) -> tuple[int, ...]:
         """The k partners of left vertex i, running steps as needed."""
-        if i < 0:
-            raise ValueError(f"left vertex must be >= 0, got {i}")
-        support = self.oracle.left_support
-        if support is not None and i not in support:
-            raise ValueError(f"left vertex {i} is not in the oracle support")
-        while i not in self.stars:
-            self.run_step()
-        return self.stars[i]
+        return self._match(Side.LEFT, i, self.stars)
 
     def match_right(self, j: int) -> int:
         """The unique partner of right vertex j, running steps as needed."""
-        if j < 0:
-            raise ValueError(f"right vertex must be >= 0, got {j}")
-        support = self.oracle.right_support
-        if support is not None and j not in support:
-            raise ValueError(f"right vertex {j} is not in the oracle support")
-        while j not in self.inverse:
-            self.run_step()
-        return self.inverse[j]
+        return self._match(Side.RIGHT, j, self.inverse)
 
     def committed_prefix(self) -> EngineSnapshot:
         return EngineSnapshot(

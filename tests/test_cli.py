@@ -518,6 +518,26 @@ def test_folner_rejects_search_that_cannot_run(capsys, flags):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("verify", "--what", "matching"),
+         "error: matching verification needs --file and --matching\n"),
+        (("verify", "--what", "matching", "--file", "{bg}", "--matching", "{m}"),
+         "error: bad matching line: '0 0 1'\n"),
+        (("folner", "--rank", "2", "--set", "a,b", "--n", "2", "--ground-radius", "-1",
+          "--max-size", "2"),
+         "error: radius must be >= 0\n"),
+    ],
+    ids=["matching-without-files", "bad-matching-line", "negative-ground-radius"],
+)
+def test_input_error_message(capsys, tmp_path, k12_file, argv, err):
+    mfile = tmp_path / "m.txt"
+    mfile.write_text("0 0 1\n")
+    argv = [a.format(bg=k12_file, m=mfile) for a in argv]
+    assert run(capsys, *argv) == (2, "", err)
+
+
 def test_unknown_flag_rejected(capsys):
     code, _, _ = run(capsys, "wbt", "--rank", "2", "--set", "a,b", "--bogus")
     assert code == 2

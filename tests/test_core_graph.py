@@ -1,4 +1,5 @@
 import random
+import re
 from collections import deque
 from collections.abc import Set
 
@@ -13,11 +14,10 @@ from hallharem.core_graph import (
     Vertex,
     dump_bg,
     extract_ball,
-    load_finite_graph,
     parse_bg,
 )
 from hallharem.decomposition import build_action_graph, tight_spec
-from hallharem.errors import BallBudgetExceeded, OracleError, ParityError, ParseError
+from hallharem.errors import BallBudgetExceeded, OracleError, ParseError
 
 
 def brute_ball(oracle, removed_left, removed_right, pivot, radius):
@@ -71,7 +71,7 @@ def test_parse_basic():
 
 
 def test_parse_empty_input_is_empty_graph():
-    g = load_finite_graph("")
+    g, _ = parse_bg("")
     assert g.left_ids == () and g.right_ids == ()
 
 
@@ -107,6 +107,26 @@ def test_parse_garbage_line():
     with pytest.raises(ParseError) as err:
         parse_bg("A 0: 0\nB 0: 0\n")
     assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("k 2\nk 3\n", 2, "duplicate k header"),
+        ("# c\nk two\n", 2, "bad k header: 'k two'"),
+        ("k 0\n", 1, "k must be >= 1"),
+        ("k 2\n\nA 0 1\n", 3, "missing ':' in data line"),
+        ("A x: 0\n", 1, "bad left index: 'x'"),
+        ("A 0: 0\nA 1: 1 y\n", 2, "bad right index"),
+        ("A 0: -1 2\n", 1, "right indices must be >= 0"),
+    ],
+    ids=["duplicate-k", "bad-k", "k-below-one", "missing-colon", "bad-left", "bad-right",
+         "negative-right"],
+)
+def test_parse_rejects_malformed_line(text, line_no, message):
+    with pytest.raises(ParseError, match=f"^line {line_no}: {re.escape(message)}$") as err:
+        parse_bg(text)
+    assert err.value.line_no == line_no
 
 
 @st.composite
@@ -153,10 +173,12 @@ def test_ball_single_edge_radius_3():
 
 
 def test_ball_parity_enforced():
-    with pytest.raises(ParityError):
+    with pytest.raises(ValueError, match="^left pivot needs an odd radius, got 2$"):
         extract_ball(single_edge_oracle(), set(), set(), Vertex(Side.LEFT, 0), 2)
-    with pytest.raises(ParityError):
+    with pytest.raises(ValueError, match="^right pivot needs an even radius, got 3$"):
         extract_ball(single_edge_oracle(), set(), set(), Vertex(Side.RIGHT, 0), 3)
+    with pytest.raises(ValueError, match="^radius must be >= 1$"):
+        extract_ball(single_edge_oracle(), set(), set(), Vertex(Side.LEFT, 0), 0)
 
 
 def test_ball_removed_pivot_rejected():
@@ -164,6 +186,8 @@ def test_ball_removed_pivot_rejected():
         extract_ball(single_edge_oracle(), {0}, set(), Vertex(Side.LEFT, 0), 1)
     with pytest.raises(ValueError, match="is a removed vertex"):
         extract_ball(single_edge_oracle(), ProbeOnlySet({0}), set(), Vertex(Side.LEFT, 0), 1)
+    with pytest.raises(ValueError, match="^vertex index must be >= 0, got -1$"):
+        Vertex(Side.LEFT, -1)
 
 
 @pytest.fixture(scope="module")

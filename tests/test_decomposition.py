@@ -17,7 +17,6 @@ from hallharem.decomposition import (
     verify_decomposition,
     verify_engine_window,
 )
-from hallharem.errors import EmptySetError
 from hallharem.group_kit import (
     GeneratorSet,
     act,
@@ -379,6 +378,69 @@ def test_cross_oracle_both_pass(f2_decomp):
     assert verify_engine_window(f2_decomp).ok
 
 
+class WrongThetaDecomp(ParadoxDecomp):
+    """Answers theta(0, 2) with b, which carries 0 to 3, not to psi_2(0) = 1."""
+
+    def theta(self, m, which):
+        return w2("b") if (m, which) == (0, 2) else super().theta(m, which)
+
+
+def plant_e_to_5(eng):
+    # 5 (aa) lies outside K∘0 = {0, 1, 2, 3, 4}, so no word of K carries 0
+    # there; it replaces 1 as a partner of 0
+    eng.stars[0] = (0, 5)
+    del eng.inverse[1]
+    eng.inverse[5] = 0
+
+
+def plant_shared_partner(eng):
+    # 0 = a·A is reachable from 2, so both stars may claim it; 8 goes free
+    eng.stars[2] = (0, 2)
+    del eng.inverse[8]
+
+
+@pytest.mark.parametrize(
+    "plant, cls, expected",
+    [
+        (lambda eng: eng.stars.update({0: (1, 0)}), ParadoxDecomp, [("psi-order", 0, (1, 0))]),
+        (plant_e_to_5, ParadoxDecomp, [("theta-unsound", 0, (2, 5))]),
+        (lambda eng: None, WrongThetaDecomp, [("theta-unsound", 0, (2, "b"))]),
+        (plant_shared_partner, ParadoxDecomp, [("translates", 0, ((0, 1), (2, 1)))]),
+        (lambda eng: eng.inverse.pop(8), ParadoxDecomp, [("image-not-removed", 8, ())]),
+        (lambda eng: eng.inverse.update({5: 0}), ParadoxDecomp, [("removed-unclaimed", 5, ())]),
+    ],
+    ids=["psi-order", "theta-unreachable", "theta-wrong-word", "translates",
+         "image-not-removed", "removed-unclaimed"],
+)
+def test_engine_window_reports_each_planted_fault(f2_decomp, plant, cls, expected):
+    # The two committed stars 0 -> (0, 1) and 2 -> (2, 8), copied into a
+    # decomposition that has run no step, then edited.
+    decomp = cls(tight_spec(2))
+    decomp.engine.stars.update(f2_decomp.engine.stars)
+    decomp.engine.inverse.update(f2_decomp.engine.inverse)
+    plant(decomp.engine)
+    report = verify_engine_window(decomp)
+    assert [(v.kind, v.index, v.detail) for v in report.violations] == expected
+    assert report.checked == 2
+
+
+def test_classic_reports_index_in_two_a_pieces_and_no_b_piece():
+    # Index 7 (aB) has thetas e and B; it is added to the A-piece of A and
+    # taken out of every B-piece.
+    classic = ClassicF2Decomp()
+    two_a = lambda k, m: classic.a_member(k, m) or (m == 7 and k == w2("A"))
+    no_b = lambda k, m: m != 7 and classic.b_member(k, m)
+    report = verify_decomposition(two_a, no_b, classic.k_set, 60)
+    assert [(v.kind, v.index, v.detail) for v in report.violations] == [
+        # A·7 = 4 (the word B) is now hit from the A-piece of A as well
+        ("translates", 4, (("A", "A", 7), ("B", "B", 0))),
+        ("a-pieces", 7, ("e", "A")),
+        ("b-pieces", 7, ()),
+        # B·7 = 46 lost its only hit
+        ("translates", 46, ()),
+    ]
+
+
 # -- expansion certificates ----------------------------------------------------------
 
 
@@ -412,7 +474,7 @@ def test_certificate_singleton():
 
 
 def test_certificate_empty_set_rejected():
-    with pytest.raises(EmptySetError):
+    with pytest.raises(ValueError, match="^F must be non-empty$"):
         is_folner(tight_spec(2).r_set.elements, 2, set())
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hallharem.core_graph import FiniteBipartiteGraph, Side
 from hallharem.decomposition import ParadoxDecomp, tight_spec
-from hallharem.errors import BallBudgetExceeded, WitnessRefuted, EngineExhausted, WitnessError
+from hallharem.errors import BallBudgetExceeded, WitnessRefuted, EngineExhausted
 from hallharem.flow_matching import (
     MatchingRequest,
     check_hall_harem,
@@ -48,7 +48,7 @@ def random_plantable(rng, m):
 
 
 def test_witness_requires_zero_at_zero():
-    with pytest.raises(WitnessError):
+    with pytest.raises(ValueError, match="^h: h\\(0\\) must be 0$"):
         HWitness(eval=lambda n: n + 1)
 
 

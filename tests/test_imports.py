@@ -1,7 +1,11 @@
-"""Import hygiene of the package source, read with the stdlib ``ast`` only.
+"""Import hygiene and grammar of the package source and the tests, read
+with the stdlib ``ast`` only.
 
-Every module reads each name it imports, and the package ``__init__``
-imports exactly the names of its ``__all__``.
+Every module, and every test module but the acceptance gate, reads each
+name it imports; the package ``__init__`` imports exactly the names of its
+``__all__``; and every package module parses with the Python 3.10 grammar
+that ``requires-python`` promises.  The grammar check cannot see a stdlib
+API that is newer than 3.10.
 """
 
 import ast
@@ -11,12 +15,14 @@ import pytest
 
 import hallharem
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hallharem"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hallharem"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+TESTS = sorted(p.stem for p in (ROOT / "tests").glob("*.py") if p.stem != "test_acceptance")
 
 
-def parse(stem):
-    return ast.parse((SRC / f"{stem}.py").read_text(), filename=f"{stem}.py")
+def parse(stem, folder=SRC):
+    return ast.parse((folder / f"{stem}.py").read_text(), filename=f"{stem}.py")
 
 
 def imported_names(tree):
@@ -31,15 +37,24 @@ def imported_names(tree):
     return names
 
 
-@pytest.mark.parametrize("stem", MODULES)
-def test_module_reads_every_import(stem):
-    tree = parse(stem)
+@pytest.mark.parametrize(
+    "folder, stem",
+    [(SRC, s) for s in MODULES] + [(ROOT / "tests", s) for s in TESTS],
+    ids=MODULES + [f"tests.{s}" for s in TESTS],
+)
+def test_module_reads_every_import(folder, stem):
+    tree = parse(stem, folder)
     read = {
         node.id
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert [n for n in imported_names(tree) if n not in read] == []
+
+
+@pytest.mark.parametrize("stem", ["__init__"] + MODULES)
+def test_module_parses_with_python_3_10_grammar(stem):
+    ast.parse((SRC / f"{stem}.py").read_text(), feature_version=(3, 10))
 
 
 def test_init_imports_exactly_all():
