@@ -124,12 +124,10 @@ class FiniteBipartiteGraph:
     @staticmethod
     def from_adjacency(
         adjacency: Mapping[int, Iterable[int]],
-        left_ids: Iterable[int] | None = None,
+        *,
         right_ids: Iterable[int] | None = None,
     ) -> "FiniteBipartiteGraph":
         adj = {a: tuple(sorted(set(row))) for a, row in adjacency.items()}
-        if left_ids is not None:
-            adj = dict.fromkeys(left_ids, ()) | adj
         rights = set() if right_ids is None else set(right_ids)
         for row in adj.values():
             rights.update(row)

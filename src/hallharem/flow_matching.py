@@ -32,7 +32,6 @@ _SNK = -1
 BRUTE_MAX_LEFT = 6
 BRUTE_MAX_RIGHT = 12
 HALL_MAX_LEFT = 20
-HALL_MAX_RIGHT = 48
 
 
 @dataclass(frozen=True)
@@ -447,74 +446,36 @@ def verify_matching(req: MatchingRequest, m: HaremMatching) -> MatchingReport:
 # -- exhaustive condition checkers ---------------------------------------
 
 
-def _left_neighborhood_masks(graph: FiniteBipartiteGraph) -> list[int]:
-    rpos = {b: p for p, b in enumerate(graph.right_ids)}
-    masks = []
-    for a in graph.left_ids:
-        mask = 0
-        for b in graph.adjacency[a]:
-            mask |= 1 << rpos[b]
-        masks.append(mask)
-    return masks
-
-
-def _subset_neighborhoods(masks: list[int]) -> list[int]:
-    """union-of-neighborhoods for every subset of the left side."""
-    m = len(masks)
-    out = [0] * (1 << m)
-    for s in range(1, 1 << m):
-        low = s & -s
-        out[s] = out[s ^ low] | masks[low.bit_length() - 1]
-    return out
-
-def _right_closure_tables(graph: FiniteBipartiteGraph) -> tuple[list[int], list[int]]:
-    """For every left subset S: the number of right vertices whose whole
-    neighborhood lies in S, and the union of those neighborhoods.
-
-    Any right subset Y is dominated by the closure of S = N(Y): the closure
-    is at least as large and has the same neighborhood, so the Hall-style
-    margins need only be checked on closures.
-    """
-    m = len(graph.left_ids)
-    lpos = {a: p for p, a in enumerate(graph.left_ids)}
-    count = [0] * (1 << m)
-    union = [0] * (1 << m)
-    for b in graph.right_ids:
-        mask = 0
-        for a in graph.neighbors_right(b):
-            mask |= 1 << lpos[a]
-        count[mask] += 1
-        union[mask] |= mask
-    for bit in range(m):
-        step = 1 << bit
-        for s in range(1 << m):
-            if s & step:
-                count[s] += count[s ^ step]
-                union[s] |= union[s ^ step]
-    return count, union
-
-
-def _guard_hall(graph: FiniteBipartiteGraph) -> None:
-    if len(graph.left_ids) > HALL_MAX_LEFT or len(graph.right_ids) > HALL_MAX_RIGHT:
-        raise SizeGuardError(
-            f"subset checks capped at {HALL_MAX_LEFT}x{HALL_MAX_RIGHT}, "
-            f"got {len(graph.left_ids)}x{len(graph.right_ids)}"
-        )
-
-
 def check_hall_harem(graph: FiniteBipartiteGraph, k: int) -> bool:
     """Exhaustive Hall condition: |N(X)| >= k|X| for all nonempty left X and
-    |N(Y)| >= |Y|/k for all nonempty right Y (exact arithmetic)."""
+    |N(Y)| >= |Y|/k for all nonempty right Y (exact arithmetic).
+
+    One table decides both: inside[S] counts the rights whose whole
+    neighbourhood lies in the left subset S.  The rights inside S = N(Y) are
+    the largest right set that S serves, so the right condition is
+    inside[S] <= k|S| for every S.  N(X) misses exactly the rights inside
+    the complement of X, so the left condition is |R| - inside[L-X] >= k|X|.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _guard_hall(graph)
-    masks = _left_neighborhood_masks(graph)
-    nbh = _subset_neighborhoods(masks)
-    for s in range(1, 1 << len(masks)):
-        if nbh[s].bit_count() < k * s.bit_count():
-            return False
-    count, union = _right_closure_tables(graph)
-    for s in range(1 << len(masks)):
-        if count[s] and k * union[s].bit_count() < count[s]:
-            return False
-    return True
+    m = len(graph.left_ids)
+    if m > HALL_MAX_LEFT:
+        raise SizeGuardError(f"subset checks capped at {HALL_MAX_LEFT} lefts, got {m}")
+    masks = dict.fromkeys(graph.right_ids, 0)
+    for p, a in enumerate(graph.left_ids):
+        for b in graph.adjacency[a]:
+            masks[b] |= 1 << p
+    full = (1 << m) - 1
+    inside = [0] * (full + 1)
+    for mask in masks.values():
+        inside[mask] += 1
+    for bit in range(m):
+        step = 1 << bit
+        for s in range(full + 1):
+            if s & step:
+                inside[s] += inside[s ^ step]
+    return all(
+        inside[s] <= k * s.bit_count()
+        and len(masks) - inside[s] >= k * (full ^ s).bit_count()
+        for s in range(full + 1)
+    )

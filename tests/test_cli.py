@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -340,6 +341,14 @@ def test_verify_matching_of_finite_output(capsys, tmp_path, k12_file):
     )
     assert code == 0
     assert out == "PASS\n"
+
+
+def test_verify_matching_reads_stdin_and_skips_comments(capsys, monkeypatch, k12_file):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("# finite output\n\n0 -> 0 1\n"))
+    code, out, err = run(
+        capsys, "verify", "--what", "matching", "--file", k12_file, "--matching", "-"
+    )
+    assert (code, out, err) == (0, "PASS\n", "")
 
 
 def test_verify_matching_rejects_tampered(capsys, tmp_path, k12_file):

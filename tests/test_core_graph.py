@@ -76,9 +76,11 @@ def test_parse_empty_input_is_empty_graph():
 
 
 def test_parse_header_and_comments():
-    g, k = parse_bg("# comment\nk 2\n\nA 0: 0 1\n")
+    text = "# comment\nk 2\n\nA 0: 0 1\n"
+    g, k = parse_bg(text)
     assert k == 2
     assert g.adjacency[0] == (0, 1)
+    assert parse_bg(text.encode("utf-8")) == (g, k)
 
 
 def test_parse_duplicate_edge_rejected():
@@ -138,7 +140,7 @@ def adjacency_graphs(draw):
         row = draw(st.frozensets(st.integers(0, nr - 1), max_size=nr))
         if row:
             adj[a] = tuple(sorted(row))
-    return FiniteBipartiteGraph.from_adjacency(adj, left_ids=range(nl))
+    return FiniteBipartiteGraph.from_adjacency(dict.fromkeys(range(nl), ()) | adj)
 
 
 @given(adjacency_graphs())
@@ -361,7 +363,7 @@ def random_finite_graph(rng):
     n_left, n_right = rng.randint(1, 8), rng.randint(1, 10)
     p = rng.choice((0.1, 0.25, 0.5))
     adj = {a: [b for b in range(n_right) if rng.random() < p] for a in range(n_left)}
-    return FiniteBipartiteGraph.from_adjacency(adj, range(n_left), range(n_right))
+    return FiniteBipartiteGraph.from_adjacency(adj, right_ids=range(n_right))
 
 
 def test_ball_matches_brute_past_closure():
@@ -451,7 +453,7 @@ def test_closed_ball_reads_each_row_once(pivot):
 def test_ball_rejects_budget_below_one(budget):
     # An isolated pivot would fit any budget, so only the argument check can
     # refuse it, and it does so before any row is read.
-    oracle, reads = counting_oracle(FiniteBipartiteGraph.from_adjacency({}, left_ids=[0]))
+    oracle, reads = counting_oracle(FiniteBipartiteGraph.from_adjacency({0: ()}))
     with pytest.raises(ValueError, match=f"^max_vertices must be >= 1, got {budget}$"):
         extract_ball(oracle, set(), set(), Vertex(Side.LEFT, 0), 1, max_vertices=budget)
     assert reads == []

@@ -339,6 +339,14 @@ def test_classic_cached_pieces_match_decoded_words():
             ask()
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: ParadoxDecomp(tight_spec(2)), ClassicF2Decomp], ids=["engine", "classic"]
+)
+def test_theta_rejects_a_third_partner(make):
+    with pytest.raises(ValueError, match="^which must be 1 or 2$"):
+        make().theta(0, 3)
+
+
 def test_classic_verifies_on_window():
     classic = ClassicF2Decomp()
     report = verify_decomposition(

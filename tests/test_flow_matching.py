@@ -654,6 +654,8 @@ def test_hall_k12():
 
 def test_hall_starved_left():
     assert not check_hall_harem(graph({0: (0,)}), 2)
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        check_hall_harem(k12(), 0)
 
 
 def test_hall_isolated_right_fails():
@@ -662,24 +664,34 @@ def test_hall_isolated_right_fails():
 
 
 def test_hall_matches_naive_and_feasibility():
-    import random
-
+    # 120 graphs of 3x6 at k = 2; two of every shape from 0x0 to 6x10 at
+    # k = 1, 2 and 3, where rows may be empty and rights isolated; and ten
+    # more of each shape with |R| = k|L|, the only one that can pass.  On a
+    # finite graph the condition is exactly perfect-(1,k) feasibility.
     rng = random.Random(11)
-    for _ in range(120):
-        nl, nr = 3, 6
+    ks = (1, 2, 3)
+    shapes = (
+        [(3, 6, 2)] * 120
+        + [(nl, nr, k) for nl in range(7) for nr in range(11) for k in ks] * 2
+        + [(nl, k * nl, k) for nl in range(7) for k in ks if k * nl <= 10] * 10
+    )
+    for nl, nr, k in shapes:
         adj = {
             a: tuple(sorted(rng.sample(range(nr), rng.randint(0, nr))))
             for a in range(nl)
         }
         g = FiniteBipartiteGraph(tuple(range(nl)), tuple(range(nr)), adj)
-        expected = naive_hall(g, 2)
-        assert check_hall_harem(g, 2) == expected
-        if nr == 2 * nl:
-            feasible = solve_harem(MatchingRequest.all_required(g, 2)) is not None
-            assert expected == feasible
+        expected = naive_hall(g, k)
+        assert check_hall_harem(g, k) == expected, (adj, nr, k)
+        feasible = solve_harem(MatchingRequest.all_required(g, k)) is not None
+        assert expected == feasible, (adj, nr, k)
 
 
 def test_hall_guard():
     g = graph({a: () for a in range(21)}, nr=1)
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match="^subset checks capped at 20 lefts, got 21$"):
         check_hall_harem(g, 1)
+    # Rights are not capped: the checker's one table is indexed by lefts.
+    wide = graph({0: range(0, 60, 2), 1: range(1, 60, 2)})
+    assert check_hall_harem(wide, 30)
+    assert not check_hall_harem(wide, 31)

@@ -349,6 +349,34 @@ def test_generator_set_validation():
     assert [str(w) for w in sym.elements] == ["e", "ab", "BA"]
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Word(0, ()), "rank must be >= 1"),
+        (lambda: Word(2, (3,)), "letter 3 out of range for rank 2"),
+        (lambda: Enumeration(0), "rank must be >= 1"),
+        (lambda: enumeration(2).index_to_word(-1), "index must be >= 0"),
+        (lambda: GeneratorSet(2, ()), "generator set must be non-empty"),
+        (lambda: GeneratorSet(2, (w2("e"), w2("A"), w2("a"))),
+         "elements must be distinct and in shortlex order"),
+        (lambda: GeneratorSet(2, (w2("e"), w2("a"), w2("a"), w2("A"))),
+         "elements must be distinct and in shortlex order"),
+        (lambda: GeneratorSet(2, (w2("e"), w2("a"))), "generator set not symmetric: missing A"),
+        (lambda: GeneratorSet.symmetrized(2, [parse_word(1, "a")]), "rank 1 vs 2"),
+        (lambda: GeneratorSet.standard(2).power(0), "power must be >= 1"),
+        (lambda: d_r(GeneratorSet.standard(2), 0, 0, -1), "cap must be >= 0"),
+        (lambda: ball(GeneratorSet.standard(2), 0, -1), "radius must be >= 0"),
+        (lambda: is_folner([w2("a")], 0, {0}), "n must be >= 1"),
+    ],
+    ids=["word-rank", "word-letter", "enumeration-rank", "negative-index", "empty-set",
+         "unsorted-set", "duplicate-set", "asymmetric-set", "symmetrized-rank", "power-0",
+         "negative-cap", "negative-radius", "folner-n-0"],
+)
+def test_rejects_bad_argument(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_generator_set_power():
     r = GeneratorSet.standard(1)
     assert len(r.power(2).elements) == 5  # e, a, A, aa, AA

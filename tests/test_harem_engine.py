@@ -146,6 +146,16 @@ def test_nonpositive_ball_budget_rejected(size):
         ParadoxDecomp(tight_spec(2), max_ball_size=size)
 
 
+def test_engine_rejects_k_zero_and_exhausting_f2():
+    g = FiniteBipartiteGraph.from_adjacency({0: (0, 1)})
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        EngineState(g.as_oracle(), k=0, h=vacuous_witness(1))
+    eng = ParadoxDecomp(tight_spec(2)).engine
+    with pytest.raises(ValueError, match="^only finite-support oracles can be exhausted$"):
+        eng.drive_to_exhaustion()
+    assert eng.step == 0 and not eng.stars
+
+
 def test_witness_refuted_on_starved_graph():
     g, eng = engine_for({0: (0,)}, k=2)
     with pytest.raises(WitnessRefuted):

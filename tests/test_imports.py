@@ -3,9 +3,9 @@ with the stdlib ``ast`` only.
 
 Every module, and every test module but the acceptance gate, reads each
 name it imports; the package ``__init__`` imports exactly the names of its
-``__all__``; and every package module parses with the Python 3.10 grammar
-that ``requires-python`` promises.  The grammar check cannot see a stdlib
-API that is newer than 3.10.
+``__all__``; and every package and test module parses with the Python 3.10
+grammar that ``requires-python`` promises.  The grammar check cannot see a
+stdlib API that is newer than 3.10.
 """
 
 import ast
@@ -18,7 +18,9 @@ import hallharem
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hallharem"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
-TESTS = sorted(p.stem for p in (ROOT / "tests").glob("*.py") if p.stem != "test_acceptance")
+TEST_DIR = ROOT / "tests"
+ALL_TESTS = sorted(p.stem for p in TEST_DIR.glob("*.py"))
+TESTS = [s for s in ALL_TESTS if s != "test_acceptance"]
 
 
 def parse(stem, folder=SRC):
@@ -39,7 +41,7 @@ def imported_names(tree):
 
 @pytest.mark.parametrize(
     "folder, stem",
-    [(SRC, s) for s in MODULES] + [(ROOT / "tests", s) for s in TESTS],
+    [(SRC, s) for s in MODULES] + [(TEST_DIR, s) for s in TESTS],
     ids=MODULES + [f"tests.{s}" for s in TESTS],
 )
 def test_module_reads_every_import(folder, stem):
@@ -52,9 +54,13 @@ def test_module_reads_every_import(folder, stem):
     assert [n for n in imported_names(tree) if n not in read] == []
 
 
-@pytest.mark.parametrize("stem", ["__init__"] + MODULES)
-def test_module_parses_with_python_3_10_grammar(stem):
-    ast.parse((SRC / f"{stem}.py").read_text(), feature_version=(3, 10))
+@pytest.mark.parametrize(
+    "folder, stem",
+    [(SRC, s) for s in ["__init__"] + MODULES] + [(TEST_DIR, s) for s in ALL_TESTS],
+    ids=["__init__"] + MODULES + [f"tests.{s}" for s in ALL_TESTS],
+)
+def test_module_parses_with_python_3_10_grammar(folder, stem):
+    ast.parse((folder / f"{stem}.py").read_text(), feature_version=(3, 10))
 
 
 def test_init_imports_exactly_all():
