@@ -138,10 +138,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def _parse_matching(text: str) -> flow_matching.HaremMatching:
     stars: dict[int, tuple[int, ...]] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for _, line in core_graph._data_lines(text):
         head, sep, tail = line.partition("->")
         if not sep:
             raise ValueError(f"bad matching line: {line!r}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import lt
-from typing import AbstractSet, Callable, Iterable, Mapping
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping
 
 from .errors import BallBudgetExceeded, OracleError, ParseError
 
@@ -133,12 +133,6 @@ class FiniteBipartiteGraph:
             rights.update(row)
         return FiniteBipartiteGraph(tuple(sorted(adj)), tuple(sorted(rights)), adj)
 
-    def neighbors_left(self, i: int) -> tuple[int, ...]:
-        return self.adjacency.get(i, ())
-
-    def neighbors_right(self, j: int) -> tuple[int, ...]:
-        return self.right_adjacency.get(j, ())
-
     @cached_property
     def right_adjacency(self) -> dict[int, tuple[int, ...]]:
         radj: dict[int, list[int]] = {}
@@ -151,14 +145,11 @@ class FiniteBipartiteGraph:
     def edge_count(self) -> int:
         return sum(len(row) for row in self.adjacency.values())
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return b in self.adjacency.get(a, ())
-
     def as_oracle(self, name: str = "finite") -> BipartiteOracle:
         def neighbors(v: Vertex) -> tuple[int, ...]:
             if v.side is Side.LEFT:
-                return self.neighbors_left(v.index)
-            return self.neighbors_right(v.index)
+                return self.adjacency.get(v.index, ())
+            return self.right_adjacency.get(v.index, ())
 
         return BipartiteOracle(
             neighbors=neighbors,
@@ -289,22 +280,17 @@ def extract_ball(
 def parse_bg(text: str | bytes) -> tuple[FiniteBipartiteGraph, int | None]:
     """Parse the .bg text format; returns the graph and the optional header k.
 
-    Format: UTF-8 lines; ``#`` starts a comment; an optional ``k <int>``
-    header may precede the data; data lines read ``A <i>: <j1> <j2> ...``
-    with strictly increasing i across lines and strictly increasing j within
-    a line.  The right vertex set is the union of the listed j.  Blank
-    lines are ignored.
+    Format: UTF-8 lines, after one optional byte-order mark; ``#`` starts
+    a comment; an optional ``k <int>`` header may precede the data; data
+    lines read ``A <i>: <j1> <j2> ...`` with strictly increasing i across
+    lines and strictly increasing j within a line.  The right vertex set is
+    the union of the listed j.  Blank lines are ignored.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     k: int | None = None
     adjacency: dict[int, tuple[int, ...]] = {}
     last_left = -1
     seen_data = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _data_lines(text):
         if line.startswith("k "):
             if seen_data:
                 raise ParseError(line_no, "k header must precede data lines")
@@ -365,6 +351,18 @@ def dump_bg(graph: FiniteBipartiteGraph, k: int | None = None) -> str:
         row = " ".join(str(j) for j in graph.adjacency[a])
         lines.append(f"A {a}: {row}".rstrip())
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _data_lines(text: str | bytes) -> Iterator[tuple[int, str]]:
+    """The numbered, stripped lines of a .bg or matching text that are
+    neither blank nor ``#`` comments.  Bytes are decoded as UTF-8, and one
+    leading byte-order mark is ignored."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
 
 
 def _order_fault(seq: tuple[int, ...]) -> str | None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Protocol
 
-from .core_graph import BipartiteOracle
+from .core_graph import BipartiteOracle, Vertex
 from .errors import InternalError
 from .group_kit import GeneratorSet, Word, act, enumeration, identity, inv
 from .harem_engine import DEFAULT_MAX_BALL, EngineState, identity_witness
@@ -92,14 +92,14 @@ def build_action_graph(spec: ActionGraphSpec) -> BipartiteOracle:
         def make_row(i: int) -> tuple[int, ...]:
             return tuple(sorted({act(k, i) for k in k_words}))
 
-    def row(i: int) -> tuple[int, ...]:
-        cached = memo.get(i)
-        if cached is None:
-            cached = memo[i] = make_row(i)
-        return cached
+    def neighbors(v: Vertex) -> tuple[int, ...]:
+        row = memo.get(v.index)
+        if row is None:
+            row = memo[v.index] = make_row(v.index)
+        return row
 
     return BipartiteOracle(
-        neighbors=lambda v: row(v.index),
+        neighbors=neighbors,
         name=f"action(rank={spec.rank},mode={spec.mode})",
     )
 

@@ -55,7 +55,8 @@ class Word:
 
     def __str__(self) -> str:
         if not self.letters:
-            return "e"
+            # From rank 5 up, "e" is the fifth generator.
+            return "e" if self.rank < 5 else "1"
         out = []
         for l in self.letters:
             base = ord("a") if l > 0 else ord("A")
@@ -89,9 +90,10 @@ def inv(x: Word) -> Word:
 
 
 def parse_word(rank: int, text: str) -> Word:
-    """Parse the a/A syntax; "e" is the empty word.  Input is reduced."""
+    """Parse the a/A syntax; "" and "1" are the empty word, and so is "e"
+    below rank 5, where it names no generator.  Input is reduced."""
     text = text.strip()
-    if text in ("", "e"):
+    if text in ("", "1") or (text == "e" and rank < 5):
         return identity(rank)
     letters = []
     for ch in text:

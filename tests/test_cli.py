@@ -35,6 +35,9 @@ def test_finite_k12(capsys, k12_file):
     code, out, _ = run(capsys, "finite", k12_file)
     assert code == 0
     assert out == "0 -> 0 1\n"
+    # the same file after a UTF-8 byte-order mark
+    Path(k12_file).write_bytes(b"\xef\xbb\xbf" + K12_BG.encode("utf-8"))
+    assert run(capsys, "finite", k12_file) == (0, "0 -> 0 1\n", "")
 
 
 def test_finite_k_flag_overrides_header(capsys, k12_file):
@@ -344,11 +347,12 @@ def test_verify_matching_of_finite_output(capsys, tmp_path, k12_file):
 
 
 def test_verify_matching_reads_stdin_and_skips_comments(capsys, monkeypatch, k12_file):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("# finite output\n\n0 -> 0 1\n"))
-    code, out, err = run(
-        capsys, "verify", "--what", "matching", "--file", k12_file, "--matching", "-"
-    )
-    assert (code, out, err) == (0, "PASS\n", "")
+    for bom in ("", "\ufeff"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(bom + "# finite output\n\n0 -> 0 1\n"))
+        code, out, err = run(
+            capsys, "verify", "--what", "matching", "--file", k12_file, "--matching", "-"
+        )
+        assert (code, out, err) == (0, "PASS\n", "")
 
 
 def test_verify_matching_rejects_tampered(capsys, tmp_path, k12_file):
@@ -438,6 +442,8 @@ def test_wbt_witness(capsys):
     code, out, _ = run(capsys, "wbt", "--rank", "2", "--set", "a,b")
     assert code == 0
     assert out == "WITNESS a b\n"
+    # from rank 5 up, e is the fifth generator, not the identity
+    assert run(capsys, "wbt", "--rank", "5", "--set", "e,a") == (0, "WITNESS a e\n", "")
 
 
 def test_wbt_not_witness(capsys):
@@ -470,14 +476,18 @@ def test_empty_word_set_rejected(capsys, argv):
 
 
 def test_folner_z_finds_run(capsys):
-    code, out, _ = run(
-        capsys,
-        "folner",
-        "--rank", "1", "--set", "a", "--n", "3",
-        "--ground-radius", "3", "--max-size", "5",
-    )
-    assert code == 0
-    assert out == "e,a,A,aa\n"
+    for rank, word, found in (
+        ("1", "a", "e,a,A,aa\n"),
+        ("5", "e", "1,e,E,ee\n"),  # from rank 5 up, the identity prints as 1
+    ):
+        code, out, _ = run(
+            capsys,
+            "folner",
+            "--rank", rank, "--set", word, "--n", "3",
+            "--ground-radius", "3", "--max-size", "5",
+        )
+        assert code == 0
+        assert out == found
 
 
 def test_folner_f2_none(capsys):

@@ -68,6 +68,11 @@ def test_parse_basic():
     assert g.left_ids == (0, 1)
     assert g.right_ids == (0, 1, 2)
     assert g.edge_count == 4
+    oracle = g.as_oracle()
+    rows = {side: [oracle.neighbors(Vertex(side, i)) for i in range(4)] for side in Side}
+    # index 3 is on neither side, and index 2 is a right but no left
+    assert rows[Side.LEFT] == [(0, 1), (1, 2), (), ()]
+    assert rows[Side.RIGHT] == [(0,), (0, 1), (1,), ()]
 
 
 def test_parse_empty_input_is_empty_graph():
@@ -80,7 +85,10 @@ def test_parse_header_and_comments():
     g, k = parse_bg(text)
     assert k == 2
     assert g.adjacency[0] == (0, 1)
-    assert parse_bg(text.encode("utf-8")) == (g, k)
+    # one leading byte-order mark is ignored, in text and in bytes
+    for given in (text, "\ufeff" + text):
+        assert parse_bg(given) == (g, k)
+        assert parse_bg(given.encode("utf-8")) == (g, k)
 
 
 def test_parse_duplicate_edge_rejected():
@@ -121,9 +129,10 @@ def test_parse_garbage_line():
         ("A x: 0\n", 1, "bad left index: 'x'"),
         ("A 0: 0\nA 1: 1 y\n", 2, "bad right index"),
         ("A 0: -1 2\n", 1, "right indices must be >= 0"),
+        ("\ufeffA x: 0\n", 1, "bad left index: 'x'"),
     ],
     ids=["duplicate-k", "bad-k", "k-below-one", "missing-colon", "bad-left", "bad-right",
-         "negative-right"],
+         "negative-right", "bad-left-after-byte-order-mark"],
 )
 def test_parse_rejects_malformed_line(text, line_no, message):
     with pytest.raises(ParseError, match=f"^line {line_no}: {re.escape(message)}$") as err:
@@ -406,7 +415,7 @@ def test_ball_matches_brute_past_closure():
             assert list(ball.graph.left_ids) == lefts
             assert list(ball.graph.right_ids) == rights
             assert ball.graph.adjacency == {
-                a: tuple(b for b in g.neighbors_left(a) if b in rights) for a in lefts
+                a: tuple(b for b in g.adjacency[a] if b in rights) for a in lefts
             }
             shell = {i for (s, i) in dist if s is Side.RIGHT and dist[(s, i)] == radius}
             assert ball.shell_right == shell

@@ -46,7 +46,7 @@ def naive_hall(g, k):
         for ys in itertools.combinations(g.right_ids, size):
             n = set()
             for b in ys:
-                n.update(g.neighbors_right(b))
+                n.update(g.right_adjacency.get(b, ()))
             if k * len(n) < size:
                 return False
     return True

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hallharem.errors import SizeGuardError
@@ -102,10 +102,30 @@ def test_parse_and_str_roundtrip():
     for s in ("e", "a", "A", "ab", "aBAb"):
         assert str(w2(s)) == s
     assert str(w2("aA")) == "e"
+    # e names the identity only below rank 5; 1 names it at every rank
+    assert parse_word(5, "e") == Word(5, (5,))
+    assert str(identity(5)) == "1"
+    for rank in (1, 4, 5, 26):
+        assert parse_word(rank, "1") == identity(rank)
     with pytest.raises(ValueError):
         parse_word(1, "b")
     with pytest.raises(ValueError):
         parse_word(2, "a b")
+
+
+@st.composite
+def reduced_words(draw):
+    rank = draw(st.integers(1, 26))
+    letter = st.integers(1, rank).flatmap(lambda g: st.sampled_from((g, -g)))
+    return reduce(rank, draw(st.lists(letter, max_size=8)))
+
+
+@given(reduced_words())
+@example(Word(5, (5,)))  # the generator e
+@example(identity(5))
+@settings(max_examples=300)
+def test_str_parses_back_at_every_rank(w):
+    assert parse_word(w.rank, str(w)) == w
 
 
 @given(letters_st, letters_st, letters_st)

@@ -247,7 +247,7 @@ def test_perfectness_so_far_and_edge_soundness():
             assert not seen_right & set(star)
             seen_right.update(star)
             for b in star:
-                assert g.has_edge(a, b)
+                assert b in g.adjacency[a]
         assert eng.removed_left == set(eng.stars)
         assert eng.removed_right == seen_right
         assert len(eng.removed_right) == 2 * eng.step
