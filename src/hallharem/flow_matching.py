@@ -21,6 +21,8 @@ every feasible matching outright.
 from __future__ import annotations
 
 import itertools
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -28,6 +30,9 @@ from .core_graph import FiniteBipartiteGraph, Side, Vertex
 from .errors import InternalError, SizeGuardError
 
 _SNK = -1
+# Rights keep their ids as slots while the largest id is below this multiple
+# of their number (F2 balls read 4.0, finite graphs 1.0).
+_DENSE = 8
 
 BRUTE_MAX_LEFT = 6
 BRUTE_MAX_RIGHT = 12
@@ -106,38 +111,57 @@ class MatchingReport:
 
 
 class _Solver:
-    """A residual network of lefts (node 2a), rights (2b+1) and one sink,
-    plus the canonicalizing greedy pass.
+    """A residual network of lefts, rights and one sink on flat lists, plus
+    the canonicalizing greedy pass.
+
+    A left is its position p in ``left_ids``.  A right is a slot: its id
+    while the largest right id is below ``_DENSE`` times the number of
+    rights, so the graph's rows serve as they are, and else its position in
+    ``right_ids``, the rows renumbered once.  A search node is p, nl + s for
+    the right in slot s, or ``_SNK``, the last entry of a per-node list.
 
     A left may take a candidate outside its star, a right may leave the
     star that holds it or, held by none, reach the sink, and the sink may
-    drop any matched optional right.  The witness (``cover``, right ->
-    left) is some feasible matching, rerouted in place along residual
-    paths; ``pins`` accumulate the canonical answer and are never undone.
-    A pinned edge never leaves the witness, so a right in ``pinned`` is
-    held by ``cover`` and the residual search may not take it away.  Every
-    sink arc is read from ``cover`` and the request's optional rights.  A
-    path is kept as parent pointers only: the sides of an arc's ends fix
-    its edit.
+    drop any matched optional right.  The witness (``cover``, slot -> left,
+    -1 for none) is some feasible matching, rerouted in place along
+    residual paths; ``pins`` accumulate the canonical answer and are never
+    undone.  A pinned edge never leaves the witness, so a right in
+    ``pinned`` is held by ``cover`` and the search may not take it away.
+    Every sink arc is read from ``cover`` and the optional rights.
 
     ``prepare`` gives each left its first free candidates directly, and
     ``_meet`` finds every other path: from both ends, expanding the smaller
     frontier, except that a path to the sink (for the partners a left still
-    lacks once its row has no free candidate) grows forward only.  Backward
-    arcs read the graph's right adjacency, cached on the graph and built on
-    the first backward step.
+    lacks once its row has no free candidate) grows forward only.  A solve
+    that needs no search builds neither the search marks nor the right rows
+    that backward arcs read.
     """
 
     def __init__(self, req: MatchingRequest):
         self.req = req
         self.k = req.k
         g = req.graph
-        self.lefts = g.left_ids
-        self.cand = g.adjacency
-        self.cover: dict[int, int] = {}
-        self.pins: dict[int, list[int]] = {}
-        self.pinned: set[int] = set()
+        self.lefts, rights = g.left_ids, g.right_ids
+        self.nl = len(self.lefts)
         self.need_right = len(req.required_right)
+        if not rights or rights[-1] < _DENSE * len(rights):
+            self.rights = None  # a right's slot is its id
+            self.cand = [g.adjacency[a] for a in self.lefts]
+            self.required, self.optional = req.required_right, req.optional_right
+            n = rights[-1] + 1 if rights else 0
+        else:
+            self.rights = rights
+            slot = {b: s for s, b in enumerate(rights)}
+            self.cand = [tuple([slot[b] for b in g.adjacency[a]]) for a in self.lefts]
+            self.required = [slot[b] for b in req.required_right]
+            self.optional = frozenset([slot[b] for b in req.optional_right])
+            n = len(rights)
+        self.cover = array("i", [-1]) * n
+        self.pinned = bytearray(n)
+        self.pins: list[list[int]] = []
+        self.fwd: list[int] | None = None
+        self.radj: list[list[int]] | None = None
+        self.stamp = 0
 
     # -- feasibility ------------------------------------------------------
 
@@ -148,79 +172,104 @@ class _Solver:
         path takes one partner from each left it passes and gives it another.
 
         A left first takes its uncovered candidates in row order, up to k.
-        That is the path the forward search from 2a would find for each: it
+        That is the path the forward search from p would find for each: it
         queues every candidate before any deeper node, no right is pinned
-        yet, and rights a already holds are no arc.  Phase 1 never uncovers
+        yet, and rights p already holds are no arc.  Phase 1 never uncovers
         a right, so only a left whose row runs out of free candidates needs
         a residual search for the partners it still lacks.  A row shorter
         than k fails at once; a required right no row lists, in phase 2."""
-        req = self.req
-        if len(req.required_right) > self.k * len(self.lefts):
+        if self.need_right > self.k * self.nl:
             return False
         k, cover = self.k, self.cover
-        for a in self.lefts:
-            row = self.cand[a]
+        for p, row in enumerate(self.cand):
             if len(row) < k:
                 return False
             got = 0
             for b in row:
                 if got == k:
                     break
-                if b not in cover:
-                    cover[b] = a
+                if cover[b] < 0:
+                    cover[b] = p
                     got += 1
-            # A path from 2a adds one edge at a and never re-enters a.
+            # A path from p adds one edge at p and never re-enters p.
             for _ in range(k - got):
-                if not self._augment(2 * a, _SNK):
+                if not self._augment(p, _SNK):
                     return False
-        for b in sorted(req.required_right):
-            if b not in self.cover and not self._augment(_SNK, 2 * b + 1):
+        for b in sorted(self.required):
+            if cover[b] < 0 and not self._augment(_SNK, self.nl + b):
                 return False
         return True
 
     # -- residual search --------------------------------------------------
 
     def _augment(self, start: int, target: int) -> bool:
-        """Reroute the witness along a start-target path found by ``_meet``,
-        walked back from target: left->right sets ``cover[b] = a``,
-        right->left deletes ``cover[b]``, sink arcs change nothing.  The walk
-        must be last-first: a rerouted right leaves its old star before it
-        joins the new one, so its delete comes before its write."""
-        parent = self._meet(start, target)
-        if parent is None:
+        """Reroute the witness along a start-target path found by ``_meet``:
+        splice the backward half onto the parent pointers, then walk back
+        from target: left->right sets ``cover[b] = p``, right->left clears
+        ``cover[b]``, sink arcs change nothing.  The walk must be last-first:
+        a rerouted right leaves its old star before it joins the new one, so
+        its clear comes before its write."""
+        m = self._meet(start, target)
+        if m is None:
             return False
+        parent, child, cover, nl = self.parent, self.child, self.cover, self.nl
+        n = child[m]
+        while n != m:  # the target is its own child
+            parent[n] = m
+            m, n = n, child[n]
         v = target
         while v != start:
             u = parent[v]
-            if u != _SNK and v != _SNK:  # _SNK is odd: test it before parity
-                if u % 2 == 0:
-                    self.cover[v // 2] = u // 2
+            if u != _SNK and v != _SNK:  # _SNK is below nl: test it first
+                if u < nl:
+                    cover[v - nl] = u
                 else:
-                    del self.cover[u // 2]
+                    cover[u - nl] = -1
             v = u
         return True
 
-    def _meet(self, start: int, target: int) -> dict[int, int] | None:
-        """Parent pointers of a breadth-first residual search, start mapped
-        to itself and returned once start and target are joined; None if
-        target is unreachable.  The search grows forward from start and
-        backward from target along the same arcs reversed, each round
-        expanding one whole level of the smaller frontier; where the halves
-        meet, the backward half is spliced onto the parent pointers.
+    def _marks(self) -> None:
+        """Every search's per-node lists: a node is in the forward (backward)
+        half when its ``fwd`` (``bwd``) stamp is the search's."""
+        n = self.nl + len(self.cover) + 1
+        self.fwd, self.bwd = [0] * n, [0] * n
+        self.parent, self.child = [0] * n, [0] * n
+
+    def _right_rows(self) -> list[list[int]]:
+        """Each slot's lefts in ascending order, then the sink if the right
+        is optional: the tails of the arcs into that right's node."""
+        radj: list[list[int]] = [[] for _ in self.cover]
+        for p, row in enumerate(self.cand):
+            for b in row:
+                radj[b].append(p)
+        for b in self.optional:
+            radj[b].append(_SNK)
+        self.radj = radj
+        return radj
+
+    def _meet(self, start: int, target: int) -> int | None:
+        """A breadth-first residual search from start to target; returns the
+        node where its halves meet, or None if target is unreachable.  The
+        search grows forward from start and backward from target along the
+        same arcs reversed, each round expanding one whole level of the
+        smaller frontier.  ``parent`` leads from the meeting node back to
+        start and ``child`` on to target.
 
         The sink's backward frontier would be every uncovered right, so a
         search for the sink (phase 1) grows forward only.  Phase 2 starts at
-        the sink, so a backward step that reaches it splices at once.  Only
+        the sink, so a backward step that reaches it meets at once.  Only
         ``_force`` may expand the sink backward, and it runs after
         ``prepare`` has covered every required right: the sink's
         predecessors, the uncovered rights, are then the uncovered optional
         rights."""
-        cand = self.cand
-        cover = self.cover
-        pinned = self.pinned
-        optional = self.req.optional_right
-        parent = {start: start}
-        child = {target: target}  # backward pointers, one step nearer target
+        if self.fwd is None:
+            self._marks()
+        self.stamp = t = self.stamp + 1
+        fwd, bwd, parent, child = self.fwd, self.bwd, self.parent, self.child
+        nl, cand, cover, pinned = self.nl, self.cand, self.cover, self.pinned
+        optional = self.optional
+        fwd[start] = bwd[target] = t
+        parent[start], child[target] = start, target
         ahead, behind = [start], [target]
         while ahead and behind:
             level: list[int] = []
@@ -228,112 +277,120 @@ class _Solver:
                 for u in ahead:
                     if u == _SNK:
                         for b in optional:
-                            v = 2 * b + 1
-                            if b in cover and v not in parent:
+                            v = nl + b
+                            if cover[b] >= 0 and fwd[v] != t:
+                                fwd[v] = t
                                 parent[v] = u
-                                if v in child:
-                                    return self._splice(parent, child, v)
+                                if bwd[v] == t:
+                                    return v
                                 level.append(v)
-                    elif u % 2 == 0:  # left vertex
-                        a = u // 2
-                        for b in cand[a]:
-                            v = 2 * b + 1
-                            if v in parent or cover.get(b) == a:
+                    elif u < nl:  # left vertex
+                        for b in cand[u]:
+                            v = nl + b
+                            if fwd[v] == t or cover[b] == u:
                                 continue
+                            fwd[v] = t
                             parent[v] = u
-                            if v in child:
-                                return self._splice(parent, child, v)
+                            if bwd[v] == t:
+                                return v
                             level.append(v)
-                    # Exact for uncovered rights too (they go to the sink): an
-                    # uncovered right is never pinned, as pins stay in the witness.
-                    elif u // 2 not in pinned:
-                        a2 = cover.get(u // 2)
-                        v = _SNK if a2 is None else 2 * a2
-                        if v not in parent:
+                    # Exact for uncovered rights too: cover reads -1, the
+                    # sink.  An uncovered right is never pinned, as pins stay
+                    # in the witness.
+                    elif not pinned[u - nl]:
+                        v = cover[u - nl]
+                        if fwd[v] != t:
+                            fwd[v] = t
                             parent[v] = u
-                            if v in child:
-                                return self._splice(parent, child, v)
+                            if bwd[v] == t:
+                                return v
                             level.append(v)
                 ahead = level
             else:
-                radj = self.req.graph.right_adjacency
+                radj = self.radj if self.radj is not None else self._right_rows()
                 for v in behind:
                     if v == _SNK:
-                        pred = [2 * b + 1 for b in optional if b not in cover]
-                    elif v % 2 == 0:
-                        a = v // 2
-                        pred = [
-                            2 * b + 1
-                            for b in cand[a]
-                            if cover.get(b) == a and b not in pinned
-                        ]
-                    else:
-                        # Every left of b but its owner, and the sink if b
-                        # is optional.  b's successor (its owner, or the
-                        # sink if b is uncovered) is already in child.
-                        b = v // 2
-                        pred = [2 * a for a in radj.get(b, ())]
-                        if b in optional:
-                            pred.append(_SNK)
-                    for u in pred:
-                        if u not in child:
+                        for b in optional:
+                            u = nl + b
+                            if cover[b] < 0 and bwd[u] != t:
+                                bwd[u] = t
+                                child[u] = v
+                                if fwd[u] == t:
+                                    return u
+                                level.append(u)
+                    elif v < nl:
+                        for b in cand[v]:
+                            u = nl + b
+                            if cover[b] != v or pinned[b] or bwd[u] == t:
+                                continue
+                            bwd[u] = t
                             child[u] = v
-                            if u in parent:
-                                return self._splice(parent, child, u)
+                            if fwd[u] == t:
+                                return u
                             level.append(u)
+                    else:
+                        # Every left of the right but its owner, and the sink
+                        # if it is optional: its successor (its owner, or the
+                        # sink if uncovered) is already in the backward half.
+                        for u in radj[v - nl]:
+                            if bwd[u] != t:
+                                bwd[u] = t
+                                child[u] = v
+                                if fwd[u] == t:
+                                    return u
+                                level.append(u)
                 behind = level
         return None
 
-    @staticmethod
-    def _splice(parent: dict[int, int], child: dict[int, int], m: int) -> dict[int, int]:
-        """Extend parent pointers from the meeting node m to the target."""
-        n = child[m]
-        while n != m:  # the target is its own child
-            parent[n] = m
-            m, n = n, child[n]
-        return parent
-
     # -- canonicalization -------------------------------------------------
 
-    def _force(self, a: int, b: int) -> bool:
-        """Try to reroute the witness so edge (a, b) joins it: a residual
-        path from 2b+1 to 2a, found by the two-ended ``_meet``, hands one of
-        a's partners on and so frees a slot at a for b."""
-        if not self._augment(2 * b + 1, 2 * a):
+    def _force(self, p: int, b: int) -> bool:
+        """Try to reroute the witness so edge (p, b) joins it: a residual
+        path from b's node to p, found by the two-ended ``_meet``, hands one
+        of p's partners on and so frees a slot at p for b."""
+        if not self._augment(self.nl + b, p):
             return False
-        self.cover[b] = a
+        self.cover[b] = p
         return True
 
-    def _process_left(self, a: int) -> None:
-        """Pin the k least candidates of a that the witness can take."""
-        row = self.pins[a] = []
-        for b in self.cand[a]:
-            if len(row) == self.k:
+    def _process_left(self, p: int) -> None:
+        """Pin the k least candidates of p that the witness can take."""
+        row: list[int] = []
+        self.pins.append(row)
+        k, cover, pinned = self.k, self.cover, self.pinned
+        for b in self.cand[p]:
+            if len(row) == k:
                 break
-            if b in self.pinned:
+            if pinned[b]:
                 continue
-            if self.cover.get(b) == a or self._force(a, b):
+            if cover[b] == p or self._force(p, b):
                 row.append(b)
-                self.pinned.add(b)
-                if b in self.req.required_right:
+                pinned[b] = 1
+                if b not in self.optional:
                     self.need_right -= 1
-        if len(row) != self.k:
-            raise InternalError(f"left {a} ended under-matched")
+        if len(row) != k:
+            raise InternalError(f"left {self.lefts[p]} ended under-matched")
+
+    def _star(self, p: int) -> tuple[int, tuple[int, ...]]:
+        """Left p's pinned star in the request's ids."""
+        row, rights = self.pins[p], self.rights
+        return self.lefts[p], tuple(row if rights is None else [rights[b] for b in row])
 
     def greedy(self, stop: Vertex | None) -> tuple[int, tuple[int, ...]] | None:
         """Run the canonical pass; with ``stop`` set, halt as soon as the
         star relevant to that pivot is fully decided and return it."""
-        for a in self.lefts:
-            self._process_left(a)
+        right_stop = stop is not None and stop.side is Side.RIGHT
+        if right_stop:
+            s = stop.index if self.rights is None else bisect_left(self.rights, stop.index)
+        for p in range(self.nl):
+            self._process_left(p)
             if stop is None:
                 continue
-            if stop.side is Side.LEFT and a == stop.index:
-                return a, tuple(self.pins[a])
             # a right pivot is first pinned by the left just processed
-            if stop.side is Side.RIGHT and stop.index in self.pinned:
-                return a, tuple(self.pins[a])
+            if self.pinned[s] if right_stop else self.lefts[p] == stop.index:
+                return self._star(p)
         if stop is not None:
-            if stop.side is Side.RIGHT and stop.index in self.req.optional_right:
+            if right_stop and stop.index in self.req.optional_right:
                 raise ValueError(f"optional pivot {stop!r} is left unmatched")
             raise InternalError(f"pivot {stop!r} never matched by the greedy pass")
         if self.need_right != 0:
@@ -341,9 +398,7 @@ class _Solver:
         return None
 
     def matching(self) -> HaremMatching:
-        return HaremMatching(
-            stars={a: tuple(row) for a, row in sorted(self.pins.items())}
-        )
+        return HaremMatching(stars=dict(map(self._star, range(self.nl))))
 
 
 def solve_harem(req: MatchingRequest) -> HaremMatching | None:

@@ -59,6 +59,8 @@ class Word:
             return "e" if self.rank < 5 else "1"
         out = []
         for l in self.letters:
+            if abs(l) > 26:
+                raise ValueError(f"generator {abs(l)} has no letter: only a-z name generators")
             base = ord("a") if l > 0 else ord("A")
             out.append(chr(base + abs(l) - 1))
         return "".join(out)

@@ -435,51 +435,73 @@ def residual_reach(req, cover, pinned, start):
     return seen, arcs
 
 
-def node_name(u):
-    """The reference's name for a solver node (2a, 2b+1 or _SNK)."""
-    return "sink" if u == _SNK else ("L", u // 2) if u % 2 == 0 else ("R", u // 2)
+def right_id(solver, s):
+    """The request's id of the right in slot s."""
+    return s if solver.rights is None else solver.rights[s]
+
+
+def node_name(solver, u):
+    """The reference's name for a solver node: a left's position, nl plus a
+    right's slot, or _SNK."""
+    if u == _SNK:
+        return "sink"
+    if u < solver.nl:
+        return ("L", solver.lefts[u])
+    return ("R", right_id(solver, u - solver.nl))
+
+
+def witness(solver):
+    """The solver's witness in the request's ids: right -> left, and the
+    pinned rights."""
+    cover = {
+        right_id(solver, s): solver.lefts[p] for s, p in enumerate(solver.cover) if p >= 0
+    }
+    return cover, {right_id(solver, s) for s, x in enumerate(solver.pinned) if x}
 
 
 class _CheckedSolver(_Solver):
     """Checks every residual search against ``residual_reach``: the search
     returns None exactly when the reference finds no path, and otherwise
-    its parent pointers from target back to start are residual arcs of the
-    witness as it was before the search.  Records each search's kind and
-    answer, and counts the ``_force`` searches that met after a forward and
-    after a backward step out of the sink."""
+    the parent pointers from the meeting node back to start and the child
+    pointers from it on to target are residual arcs of the witness as it
+    was before the search.  Records each search's kind and answer, and
+    counts the ``_force`` searches that met after a forward and after a
+    backward step out of the sink."""
 
     def __init__(self, req):
         super().__init__(req)
         self.answers = []
         self.sink_steps = [0, 0]
 
-    @staticmethod
-    def kind(start):
-        return "phase 2" if start == _SNK else "phase 1" if start % 2 == 0 else "force"
+    def kind(self, start):
+        return "phase 2" if start == _SNK else "phase 1" if start < self.nl else "force"
 
     def _meet(self, start, target):
-        self.current = self.kind(start)
-        cover, pinned = dict(self.cover), set(self.pinned)
-        reach, arcs = residual_reach(self.req, cover, pinned, node_name(start))
-        parent = super()._meet(start, target)
-        assert (parent is not None) == (node_name(target) in reach)
-        v = target
-        for _ in range(len(parent or ())):
-            if v == start:
-                break
-            assert node_name(v) in arcs(node_name(parent[v]))
-            v = parent[v]
-        assert parent is None or v == start
-        self.answers.append((self.current, parent is not None))
-        return parent
-
-    def _splice(self, parent, child, m):
-        # Only a forward step out of the sink maps a node to it in parent,
-        # only a backward one in child.
-        if self.current == "force":
-            self.sink_steps[0] += _SNK in parent.values()
-            self.sink_steps[1] += _SNK in child.values()
-        return super()._splice(parent, child, m)
+        kind = self.kind(start)
+        cover, pinned = witness(self)
+        reach, arcs = residual_reach(self.req, cover, pinned, node_name(self, start))
+        m = super()._meet(start, target)
+        assert (m is not None) == (node_name(self, target) in reach)
+        self.answers.append((kind, m is not None))
+        if m is None:
+            return m
+        for pointers, end, forward in ((self.parent, start, True), (self.child, target, False)):
+            v = m
+            for _ in range(len(pointers)):
+                if v == end:
+                    break
+                u = pointers[v]
+                tail, head = (u, v) if forward else (v, u)
+                assert node_name(self, head) in arcs(node_name(self, tail))
+                v = u
+            assert v == end
+        if kind == "force":
+            # Only a forward step out of the sink gives a node of this
+            # search the sink as its parent, only a backward one as its child.
+            t, nodes = self.stamp, range(len(self.fwd))
+            self.sink_steps[0] += any(self.fwd[v] == t and self.parent[v] == _SNK for v in nodes)
+            self.sink_steps[1] += any(self.bwd[v] == t and self.child[v] == _SNK for v in nodes)
+        return m
 
 
 def test_two_ended_search_agrees_with_forward_bfs():
@@ -507,22 +529,21 @@ class _SearchPerPartnerSolver(_Solver):
     left for each of its k partners."""
 
     def prepare(self):
-        req = self.req
-        if len(req.required_right) > self.k * len(self.lefts):
+        if len(self.req.required_right) > self.k * self.nl:
             return False
-        if any(len(self.cand.get(a, ())) < self.k for a in self.lefts):
+        if any(len(row) < self.k for row in self.cand):
             return False
-        unreached = set(req.required_right)
-        for a in self.lefts:
-            unreached.difference_update(self.cand[a])
+        unreached = set(self.required)
+        for row in self.cand:
+            unreached.difference_update(row)
         if unreached:
             return False
-        for a in self.lefts:
+        for p in range(self.nl):
             for _ in range(self.k):
-                if not self._augment(2 * a, _SNK):
+                if not self._augment(p, _SNK):
                     return False
-        for b in sorted(req.required_right):
-            if b not in self.cover and not self._augment(_SNK, 2 * b + 1):
+        for b in sorted(self.required):
+            if self.cover[b] < 0 and not self._augment(_SNK, self.nl + b):
                 return False
         return True
 
@@ -533,7 +554,7 @@ class _CountedSolver(_Solver):
     left_searches = 0
 
     def _meet(self, start, target):
-        self.left_searches += start % 2 == 0  # the sink, -1, is odd
+        self.left_searches += 0 <= start < self.nl  # the sink is -1
         return super()._meet(start, target)
 
 
@@ -549,7 +570,7 @@ def test_first_free_phase_one_keeps_witness():
         new, old = _CountedSolver(req), _SearchPerPartnerSolver(req)
         feasible = new.prepare()
         assert feasible == old.prepare(), i
-        assert list(new.cover.items()) == list(old.cover.items()), i
+        assert new.cover == old.cover, i  # slot by slot
         outcomes.add(feasible)
         # lefts whose rows ran out of free candidates searched for the rest
         fallbacks += new.left_searches
@@ -564,38 +585,38 @@ def test_first_free_phase_one_keeps_witness():
 def test_f2_steps_make_no_residual_search(monkeypatch):
     # Every left of the F2 balls at steps 0-1 finds k free candidates in its
     # row, and the canonical pass forces no edge; one search per partner
-    # made 59,370 calls here.
-    starts = []
-    meet = _Solver._meet
+    # made 59,370 calls here.  So no solve builds the search marks or the
+    # right rows.
+    calls = []
+    for name in ("_meet", "_marks", "_right_rows"):
+        method = getattr(_Solver, name)
 
-    def counted(self, start, target):
-        starts.append(start)
-        return meet(self, start, target)
+        def counted(self, *args, name=name, method=method):
+            calls.append(name)
+            return method(self, *args)
 
-    monkeypatch.setattr(_Solver, "_meet", counted)
+        monkeypatch.setattr(_Solver, name, counted)
     decomp = ParadoxDecomp(tight_spec(2))
     decomp.run_steps(2)
     assert sorted(decomp.engine.stars.items()) == [(0, (0, 1)), (2, (2, 8))]
-    assert starts == []
+    assert calls == []
 
 
 class _PhaseTwoSolver(_Solver):
     """Counts the searches that start at the sink (phase 2) and the nodes
-    they leave in parent and child pointers."""
+    each leaves in its forward and backward halves, read from the stamps."""
 
     def __init__(self, req):
         super().__init__(req)
         self.searches = self.nodes = 0
 
     def _meet(self, start, target):
-        self.phase_two = start == _SNK
-        self.searches += self.phase_two
-        return super()._meet(start, target)
-
-    def _splice(self, parent, child, m):
-        if self.phase_two:
-            self.nodes += len(parent) + len(child)
-        return super()._splice(parent, child, m)
+        m = super()._meet(start, target)
+        if start == _SNK:
+            self.searches += 1
+            if m is not None:
+                self.nodes += self.fwd.count(self.stamp) + self.bwd.count(self.stamp)
+        return m
 
 
 def test_phase_two_search_grows_from_both_ends():
@@ -607,6 +628,84 @@ def test_phase_two_search_grows_from_both_ends():
     assert solver.prepare()
     assert solver.searches == 145
     assert 0 < solver.nodes < 60_000, solver.nodes
+
+
+def renamed_rights(req, scale=1_000_003, shift=7):
+    """The request with every right id b renamed scale*b + shift, and the
+    renaming.  From two rights on, the largest id is far past ``_DENSE``
+    times their number, so the solver renumbers them by position."""
+
+    def name(b):
+        return scale * b + shift
+
+    g = req.graph
+    graph = FiniteBipartiteGraph(
+        g.left_ids,
+        tuple(map(name, g.right_ids)),
+        {a: tuple(map(name, row)) for a, row in g.adjacency.items()},
+    )
+    req = MatchingRequest(
+        graph,
+        req.k,
+        req.required_left,
+        frozenset(map(name, req.required_right)),
+        frozenset(map(name, req.optional_right)),
+    )
+    return req, name
+
+
+def every_star(req):
+    """solve_star at every vertex of the request, in id order; "unmatched"
+    for an optional right the canonical matching leaves out."""
+    g, answers = req.graph, []
+    for v in [Vertex(Side.LEFT, a) for a in g.left_ids] + [
+        Vertex(Side.RIGHT, b) for b in g.right_ids
+    ]:
+        try:
+            answers.append(solve_star(req, v))
+        except ValueError:
+            answers.append("unmatched")
+    return answers
+
+
+def check_renamed_rights(req):
+    """The renumbered rights give the dense ids' answers, renamed."""
+    renamed, name = renamed_rights(req)
+    assert _Solver(req).rights is None
+    assert _Solver(renamed).rights == (
+        renamed.graph.right_ids if len(req.graph.right_ids) > 1 else None
+    )
+    got, got_renamed = solve_harem(req), solve_harem(renamed)
+    want = got and {a: tuple(map(name, star)) for a, star in got.stars.items()}
+    assert (got_renamed and got_renamed.stars) == want
+    renamed_answers = [
+        x if x is None or x == "unmatched" else (x[0], tuple(map(name, x[1])))
+        for x in every_star(req)
+    ]
+    assert every_star(renamed) == renamed_answers
+    return got is not None, "unmatched" in renamed_answers
+
+
+def test_renumbered_rights_match_dense_ids():
+    rng = random.Random(26)
+    outcomes = set()
+    for i in range(60):
+        n_left, k = rng.randint(3, 25), 1 + i % 3
+        req = shell_request(
+            rng, n_left, k, k + rng.randint(0, 3), rng.randint(0, n_left),
+            rng.random() * 0.5, planted=i % 4 != 0,
+        )
+        outcomes.add((k,) + check_renamed_rights(req))
+    # at every k feasible with an unmatched optional right, and infeasible;
+    # feasible with every right matched at some k
+    assert outcomes >= {(k, f, f) for k in (1, 2, 3) for f in (True, False)}, outcomes
+    assert any(f and not u for _, f, u in outcomes), outcomes
+
+
+@given(requests())
+@settings(max_examples=80, deadline=None)
+def test_renumbered_rights_match_dense_ids_small(req):
+    check_renamed_rights(req)
 
 
 # -- verify_matching ----------------------------------------------------------

@@ -113,6 +113,19 @@ def test_parse_and_str_roundtrip():
         parse_word(2, "a b")
 
 
+def test_str_names_26_generators():
+    # z and Z are generator 26; past it no letter exists, so str refuses
+    # rather than print a character that parse_word cannot read back.
+    for rank in (26, 27):
+        w = Word(rank, (26, -1, -26))
+        assert str(w) == "zAZ"
+        assert parse_word(rank, "zAZ") == w
+        assert str(identity(rank)) == "1"
+    for letters in ((27,), (-27,), (1, 27)):
+        with pytest.raises(ValueError, match="^generator 27 has no letter"):
+            str(Word(27, letters))
+
+
 @st.composite
 def reduced_words(draw):
     rank = draw(st.integers(1, 26))
