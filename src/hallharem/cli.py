@@ -32,10 +32,11 @@ def _load_graph(path: str, k_flag: int | None) -> tuple[core_graph.FiniteBiparti
 
 
 def _parse_window(text: str) -> range:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ValueError(f"window must look like 0..100, got {text!r}")
-    start, stop = int(lo), int(hi)
+    lo, _, hi = text.partition("..")
+    try:  # with no "..", hi is empty
+        start, stop = int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"window must look like 0..100, got {text!r}") from None
     if stop < start:
         raise ValueError(f"window {text!r} ends before it starts")
     return range(start, stop)
@@ -140,12 +141,15 @@ def _parse_matching(text: str) -> flow_matching.HaremMatching:
     stars: dict[int, tuple[int, ...]] = {}
     for _, line in core_graph._data_lines(text):
         head, sep, tail = line.partition("->")
-        if not sep:
-            raise ValueError(f"bad matching line: {line!r}")
-        a = int(head.strip())
+        try:
+            if not sep:
+                raise ValueError
+            a, star = int(head), tuple(map(int, tail.split()))
+        except ValueError:
+            raise ValueError(f"bad matching line: {line!r}") from None
         if a in stars:
             raise ValueError(f"left index {a} listed twice in matching")
-        stars[a] = tuple(int(t) for t in tail.split())
+        stars[a] = star
     return flow_matching.HaremMatching(stars=stars)
 
 

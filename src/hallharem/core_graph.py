@@ -7,6 +7,7 @@ so matchings extracted from local subgraphs are stated in global indices.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -356,10 +357,13 @@ def dump_bg(graph: FiniteBipartiteGraph, k: int | None = None) -> str:
 def _data_lines(text: str | bytes) -> Iterator[tuple[int, str]]:
     """The numbered, stripped lines of a .bg or matching text that are
     neither blank nor ``#`` comments.  Bytes are decoded as UTF-8, and one
-    leading byte-order mark is ignored."""
+    leading byte-order mark is ignored.  Lines end only at ``\n``, ``\r\n``
+    and ``\r``, as in a file opened as text, so a comment may hold any
+    other character, such as a form feed or U+2028."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    lines = io.StringIO(text.removeprefix("\ufeff"), newline=None)
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield line_no, line

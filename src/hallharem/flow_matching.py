@@ -123,7 +123,7 @@ class _Solver:
     A left may take a candidate outside its star, a right may leave the
     star that holds it or, held by none, reach the sink, and the sink may
     drop any matched optional right.  The witness (``cover``, slot -> left,
-    -1 for none) is some feasible matching, rerouted in place along
+    ``_SNK`` for none) is some feasible matching, rerouted in place along
     residual paths; ``pins`` accumulate the canonical answer and are never
     undone.  A pinned edge never leaves the witness, so a right in
     ``pinned`` is held by ``cover`` and the search may not take it away.
@@ -132,9 +132,10 @@ class _Solver:
     ``prepare`` gives each left its first free candidates directly, and
     ``_meet`` finds every other path: from both ends, expanding the smaller
     frontier, except that a path to the sink (for the partners a left still
-    lacks once its row has no free candidate) grows forward only.  A solve
-    that needs no search builds neither the search marks nor the right rows
-    that backward arcs read.
+    lacks once its row has no free candidate) grows forward only.  A search
+    keeps three per-node lists, the ``fwd`` and ``bwd`` stamps and one
+    ``link``; a solve that needs no search builds neither them nor the right
+    rows that backward arcs read.
     """
 
     def __init__(self, req: MatchingRequest):
@@ -156,7 +157,7 @@ class _Solver:
             self.required = [slot[b] for b in req.required_right]
             self.optional = frozenset([slot[b] for b in req.optional_right])
             n = len(rights)
-        self.cover = array("i", [-1]) * n
+        self.cover = array("i", [_SNK]) * n
         self.pinned = bytearray(n)
         self.pins: list[list[int]] = []
         self.fwd: list[int] | None = None
@@ -204,36 +205,33 @@ class _Solver:
 
     def _augment(self, start: int, target: int) -> bool:
         """Reroute the witness along a start-target path found by ``_meet``:
-        splice the backward half onto the parent pointers, then walk back
-        from target: left->right sets ``cover[b] = p``, right->left clears
-        ``cover[b]``, sink arcs change nothing.  The walk must be last-first:
-        a rerouted right leaves its old star before it joins the new one, so
-        its clear comes before its write."""
+        each right on the path takes its predecessor as owner: a left before
+        it adds the edge, and the sink before it (``_SNK`` is -1) leaves it
+        uncovered.  A right is on the path once, so the writes commute.  A
+        start right keeps its owner, which ``_force`` then replaces."""
         m = self._meet(start, target)
         if m is None:
             return False
-        parent, child, cover, nl = self.parent, self.child, self.cover, self.nl
-        n = child[m]
-        while n != m:  # the target is its own child
-            parent[n] = m
-            m, n = n, child[n]
-        v = target
-        while v != start:
-            u = parent[v]
-            if u != _SNK and v != _SNK:  # _SNK is below nl: test it first
-                if u < nl:
-                    cover[v - nl] = u
-                else:
-                    cover[u - nl] = -1
-            v = u
-        return True
+        u, v = m
+        link, cover, nl = self.link, self.cover, self.nl
+        w = u
+        while w != start:  # the forward half, back from u
+            x = link[w]
+            if w >= nl:  # _SNK and lefts are below nl
+                cover[w - nl] = x
+            w = x
+        while True:  # the meeting arc, then the backward half
+            if v >= nl:
+                cover[v - nl] = u
+            if v == target:
+                return True
+            u, v = v, link[v]
 
     def _marks(self) -> None:
         """Every search's per-node lists: a node is in the forward (backward)
         half when its ``fwd`` (``bwd``) stamp is the search's."""
         n = self.nl + len(self.cover) + 1
-        self.fwd, self.bwd = [0] * n, [0] * n
-        self.parent, self.child = [0] * n, [0] * n
+        self.fwd, self.bwd, self.link = [0] * n, [0] * n, [0] * n
 
     def _right_rows(self) -> list[list[int]]:
         """Each slot's lefts in ascending order, then the sink if the right
@@ -247,13 +245,15 @@ class _Solver:
         self.radj = radj
         return radj
 
-    def _meet(self, start: int, target: int) -> int | None:
+    def _meet(self, start: int, target: int) -> tuple[int, int] | None:
         """A breadth-first residual search from start to target; returns the
-        node where its halves meet, or None if target is unreachable.  The
-        search grows forward from start and backward from target along the
-        same arcs reversed, each round expanding one whole level of the
-        smaller frontier.  ``parent`` leads from the meeting node back to
-        start and ``child`` on to target.
+        arc (u, v) where its halves meet, u in the forward half and v in the
+        backward one, or None if target is unreachable.  The search grows
+        forward from start and backward from target along the same arcs
+        reversed, each round expanding one whole level of the smaller
+        frontier; a step that reaches a node of the other half returns
+        before stamping it, so no node is in both.  ``link`` leads from a
+        forward node back to start and from a backward node on to target.
 
         The sink's backward frontier would be every uncovered right, so a
         search for the sink (phase 1) grows forward only.  Phase 2 starts at
@@ -265,11 +265,10 @@ class _Solver:
         if self.fwd is None:
             self._marks()
         self.stamp = t = self.stamp + 1
-        fwd, bwd, parent, child = self.fwd, self.bwd, self.parent, self.child
+        fwd, bwd, link = self.fwd, self.bwd, self.link
         nl, cand, cover, pinned = self.nl, self.cand, self.cover, self.pinned
         optional = self.optional
         fwd[start] = bwd[target] = t
-        parent[start], child[target] = start, target
         ahead, behind = [start], [target]
         while ahead and behind:
             level: list[int] = []
@@ -279,20 +278,20 @@ class _Solver:
                         for b in optional:
                             v = nl + b
                             if cover[b] >= 0 and fwd[v] != t:
-                                fwd[v] = t
-                                parent[v] = u
                                 if bwd[v] == t:
-                                    return v
+                                    return u, v
+                                fwd[v] = t
+                                link[v] = u
                                 level.append(v)
                     elif u < nl:  # left vertex
                         for b in cand[u]:
                             v = nl + b
                             if fwd[v] == t or cover[b] == u:
                                 continue
-                            fwd[v] = t
-                            parent[v] = u
                             if bwd[v] == t:
-                                return v
+                                return u, v
+                            fwd[v] = t
+                            link[v] = u
                             level.append(v)
                     # Exact for uncovered rights too: cover reads -1, the
                     # sink.  An uncovered right is never pinned, as pins stay
@@ -300,10 +299,10 @@ class _Solver:
                     elif not pinned[u - nl]:
                         v = cover[u - nl]
                         if fwd[v] != t:
-                            fwd[v] = t
-                            parent[v] = u
                             if bwd[v] == t:
-                                return v
+                                return u, v
+                            fwd[v] = t
+                            link[v] = u
                             level.append(v)
                 ahead = level
             else:
@@ -313,20 +312,20 @@ class _Solver:
                         for b in optional:
                             u = nl + b
                             if cover[b] < 0 and bwd[u] != t:
-                                bwd[u] = t
-                                child[u] = v
                                 if fwd[u] == t:
-                                    return u
+                                    return u, v
+                                bwd[u] = t
+                                link[u] = v
                                 level.append(u)
                     elif v < nl:
                         for b in cand[v]:
                             u = nl + b
                             if cover[b] != v or pinned[b] or bwd[u] == t:
                                 continue
-                            bwd[u] = t
-                            child[u] = v
                             if fwd[u] == t:
-                                return u
+                                return u, v
+                            bwd[u] = t
+                            link[u] = v
                             level.append(u)
                     else:
                         # Every left of the right but its owner, and the sink
@@ -334,10 +333,10 @@ class _Solver:
                         # sink if uncovered) is already in the backward half.
                         for u in radj[v - nl]:
                             if bwd[u] != t:
-                                bwd[u] = t
-                                child[u] = v
                                 if fwd[u] == t:
-                                    return u
+                                    return u, v
+                                bwd[u] = t
+                                link[u] = v
                                 level.append(u)
                 behind = level
         return None

@@ -355,6 +355,21 @@ def test_verify_matching_reads_stdin_and_skips_comments(capsys, monkeypatch, k12
         assert (code, out, err) == (0, "PASS\n", "")
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize(
+    "char", ["\u2028", "\x85", "\x0c"], ids=["line-separator", "next-line", "form-feed"]
+)
+def test_verify_matching_comments_may_hold_other_line_breaks(capsys, tmp_path, char, end):
+    bg, mfile = tmp_path / "g.bg", tmp_path / "m.txt"
+    graph = f"# note{char}more\nk 2\nA 0: 0 1\n".replace("\n", end)
+    bg.write_bytes(graph.encode("utf-8"))
+    mfile.write_bytes(f"# finite{char}output\n0 -> 0 1\n".replace("\n", end).encode("utf-8"))
+    argv = ("verify", "--what", "matching", "--file", str(bg), "--matching", str(mfile))
+    assert run(capsys, *argv) == (0, "PASS\n", "")
+    bg.write_bytes((graph + "B" + end).encode("utf-8"))
+    assert run(capsys, *argv) == (2, "", "error: line 4: unrecognized line: 'B'\n")
+
+
 def test_verify_matching_rejects_tampered(capsys, tmp_path, k12_file):
     mfile = tmp_path / "m.txt"
     mfile.write_text("0 -> 0\n")
@@ -537,22 +552,34 @@ def test_folner_rejects_search_that_cannot_run(capsys, flags):
     assert err.startswith("error:")
 
 
+VERIFY_MATCHING = ("verify", "--what", "matching", "--file", "{bg}", "--matching", "{m}")
+
+
 @pytest.mark.parametrize(
-    "argv, err",
+    "argv, matching, err",
     [
-        (("verify", "--what", "matching"),
+        (("verify", "--what", "matching"), "",
          "error: matching verification needs --file and --matching\n"),
-        (("verify", "--what", "matching", "--file", "{bg}", "--matching", "{m}"),
-         "error: bad matching line: '0 0 1'\n"),
+        (VERIFY_MATCHING, "0 0 1\n", "error: bad matching line: '0 0 1'\n"),
+        (VERIFY_MATCHING, "0 -> x\n", "error: bad matching line: '0 -> x'\n"),
+        (VERIFY_MATCHING, "# ok\nx -> 0 1\n", "error: bad matching line: 'x -> 0 1'\n"),
         (("folner", "--rank", "2", "--set", "a,b", "--n", "2", "--ground-radius", "-1",
-          "--max-size", "2"),
+          "--max-size", "2"), "",
          "error: radius must be >= 0\n"),
+        (("decompose", "--window", "0..", "--classic"), "",
+         "error: window must look like 0..100, got '0..'\n"),
+        (("decompose", "--window", "..5", "--classic"), "",
+         "error: window must look like 0..100, got '..5'\n"),
+        (("decompose", "--window", "5", "--classic"), "",
+         "error: window must look like 0..100, got '5'\n"),
     ],
-    ids=["matching-without-files", "bad-matching-line", "negative-ground-radius"],
+    ids=["matching-without-files", "bad-matching-line", "bad-matching-right",
+         "bad-matching-left", "negative-ground-radius", "window-without-end",
+         "window-without-start", "window-without-dots"],
 )
-def test_input_error_message(capsys, tmp_path, k12_file, argv, err):
+def test_input_error_message(capsys, tmp_path, k12_file, argv, matching, err):
     mfile = tmp_path / "m.txt"
-    mfile.write_text("0 0 1\n")
+    mfile.write_text(matching)
     argv = [a.format(bg=k12_file, m=mfile) for a in argv]
     assert run(capsys, *argv) == (2, "", err)
 

@@ -91,6 +91,30 @@ def test_parse_header_and_comments():
         assert parse_bg(given.encode("utf-8")) == (g, k)
 
 
+COMMENT_CHARS = pytest.mark.parametrize(
+    "char", ["\u2028", "\x85", "\x0c"], ids=["line-separator", "next-line", "form-feed"]
+)
+
+
+@COMMENT_CHARS
+def test_parse_comment_may_hold_other_line_breaks(char):
+    # str.splitlines() ends a line at each of these, so "more" read as data
+    text = f"# note{char}more\nk 2\nA 0: 0 1\n"
+    want = parse_bg("k 2\nA 0: 0 1\n")
+    assert parse_bg(text) == want
+    assert parse_bg(text.encode("utf-8")) == want
+    with pytest.raises(ParseError, match="^line 4: unrecognized line: 'B'$"):
+        parse_bg(text + "B\n")
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_parse_counts_lines_at_crlf_and_cr(end):
+    text = "\ufeff# c\u2028d\nk 2\n\nA 0: 0 1\n".replace("\n", end)
+    assert parse_bg(text) == parse_bg("k 2\nA 0: 0 1\n")
+    with pytest.raises(ParseError, match="^line 5: unrecognized line: 'B'$"):
+        parse_bg(text + "B" + end)
+
+
 def test_parse_duplicate_edge_rejected():
     with pytest.raises(ParseError) as err:
         parse_bg("A 0: 1 1\n")

@@ -459,14 +459,32 @@ def witness(solver):
     return cover, {right_id(solver, s) for s, x in enumerate(solver.pinned) if x}
 
 
+def trail(solver, start, target, arc):
+    """The nodes of the path ``_meet`` found, start to target: ``link`` back
+    from u to start, the meeting arc (u, v), then ``link`` on from v to
+    target.  A walk longer than the node count fails, as ``link`` then
+    holds a cycle."""
+    n = len(solver.link)
+    halves = []
+    for node, end in zip(arc, (start, target)):
+        half = [node]
+        while half[-1] != end:
+            assert len(half) <= n
+            half.append(solver.link[half[-1]])
+        halves.append(half)
+    return halves[0][::-1] + halves[1]
+
+
 class _CheckedSolver(_Solver):
     """Checks every residual search against ``residual_reach``: the search
     returns None exactly when the reference finds no path, and otherwise
-    the parent pointers from the meeting node back to start and the child
-    pointers from it on to target are residual arcs of the witness as it
-    was before the search.  Records each search's kind and answer, and
-    counts the ``_force`` searches that met after a forward and after a
-    backward step out of the sink."""
+    the path it leaves is simple, its forward half (``link`` back from u to
+    start) is stamped forward, its backward half (``link`` on from v to
+    target) is stamped backward and no node both, and every arc of it, the
+    meeting arc (u, v) included, is a residual arc of the witness as it was
+    before the search.  Records each search's kind and answer, and counts
+    the ``_force`` searches that took a forward and a backward step out of
+    the sink."""
 
     def __init__(self, req):
         super().__init__(req)
@@ -485,22 +503,19 @@ class _CheckedSolver(_Solver):
         self.answers.append((kind, m is not None))
         if m is None:
             return m
-        for pointers, end, forward in ((self.parent, start, True), (self.child, target, False)):
-            v = m
-            for _ in range(len(pointers)):
-                if v == end:
-                    break
-                u = pointers[v]
-                tail, head = (u, v) if forward else (v, u)
-                assert node_name(self, head) in arcs(node_name(self, tail))
-                v = u
-            assert v == end
+        path, t = trail(self, start, target, m), self.stamp
+        assert len(set(path)) == len(path)
+        cut = path.index(m[1])
+        assert all(self.fwd[x] == t != self.bwd[x] for x in path[:cut])
+        assert all(self.bwd[x] == t != self.fwd[x] for x in path[cut:])
+        for tail, head in zip(path, path[1:]):
+            assert node_name(self, head) in arcs(node_name(self, tail))
         if kind == "force":
-            # Only a forward step out of the sink gives a node of this
-            # search the sink as its parent, only a backward one as its child.
-            t, nodes = self.stamp, range(len(self.fwd))
-            self.sink_steps[0] += any(self.fwd[v] == t and self.parent[v] == _SNK for v in nodes)
-            self.sink_steps[1] += any(self.bwd[v] == t and self.child[v] == _SNK for v in nodes)
+            # Only a forward step out of the sink links a forward node back
+            # to it, only a backward one links a backward node on to it.
+            nodes = range(len(self.fwd))
+            self.sink_steps[0] += any(self.fwd[x] == t and self.link[x] == _SNK for x in nodes)
+            self.sink_steps[1] += any(self.bwd[x] == t and self.link[x] == _SNK for x in nodes)
         return m
 
 
@@ -522,6 +537,59 @@ def test_two_ended_search_agrees_with_forward_bfs():
     assert {kind for kind, _ in answers} == {"phase 1", "phase 2", "force"}
     assert {found for kind, found in answers if kind == "force"} == {True, False}
     assert min(sink_steps) > 0, sink_steps
+
+
+class _LastFirstSolver(_Solver):
+    """``_augment`` with the former edit rule along the path ``_meet``
+    found: walked last-first from target, a left->right arc sets
+    ``cover[b] = p``, a right->left arc clears ``cover[b]`` and a sink arc
+    changes nothing.  Counts the arcs of each kind, and the paths that pass
+    through the sink."""
+
+    def __init__(self, req):
+        super().__init__(req)
+        self.edits = defaultdict(int)
+
+    def _augment(self, start, target):
+        m = self._meet(start, target)
+        if m is None:
+            return False
+        path = trail(self, start, target, m)
+        self.edits["through the sink"] += _SNK in path[1:-1]
+        for u, v in reversed(list(zip(path, path[1:]))):
+            if u == _SNK or v == _SNK:
+                self.edits["sink"] += 1
+            elif u < self.nl:
+                self.cover[v - self.nl] = u
+                self.edits["add"] += 1
+            else:
+                self.cover[u - self.nl] = -1
+                self.edits["remove"] += 1
+        return True
+
+
+def test_predecessor_rule_matches_last_first_edits():
+    rng = random.Random(27)
+    edits = defaultdict(int)
+    for i in range(150):
+        n_left, k = rng.randint(5, 60), rng.randint(1, 3)
+        req = shell_request(
+            rng, n_left, k, k + rng.randint(0, 4), rng.randint(1, n_left),
+            rng.random() * 0.5, planted=i % 3 != 0,
+        )
+        if i % 4 == 0:
+            req, _ = renamed_rights(req)
+        new, ref = _Solver(req), _LastFirstSolver(req)
+        feasible = new.prepare()
+        assert feasible == ref.prepare(), i
+        assert new.cover == ref.cover, i  # slot by slot
+        if feasible:
+            new.greedy(None)
+            ref.greedy(None)
+            assert (new.cover, new.pins) == (ref.cover, ref.pins), i
+        for kind, n in ref.edits.items():
+            edits[kind] += n
+    assert min(edits[kind] for kind in ("add", "remove", "sink", "through the sink")) > 0, edits
 
 
 class _SearchPerPartnerSolver(_Solver):
@@ -621,8 +689,8 @@ class _PhaseTwoSolver(_Solver):
 
 def test_phase_two_search_grows_from_both_ends():
     # A forward search from the sink walks every covered optional right
-    # first: here it left 216,631 nodes in parent pointers, against 23,444
-    # parent and child nodes for the two-ended search.
+    # first: here it left 216,631 nodes in its one half, against 23,299
+    # nodes in both halves of the two-ended search.
     req = shell_request(random.Random(4), 1000, 2, 6, 200, 0.02)
     solver = _PhaseTwoSolver(req)
     assert solver.prepare()
