@@ -34,7 +34,7 @@ def _load_graph(path: str, k_flag: int | None) -> tuple[core_graph.FiniteBiparti
 def _parse_window(text: str) -> range:
     lo, _, hi = text.partition("..")
     try:  # with no "..", hi is empty
-        start, stop = int(lo), int(hi)
+        start, stop = core_graph._natural(lo), core_graph._natural(hi)
     except ValueError:
         raise ValueError(f"window must look like 0..100, got {text!r}") from None
     if stop < start:
@@ -144,7 +144,7 @@ def _parse_matching(text: str) -> flow_matching.HaremMatching:
         try:
             if not sep:
                 raise ValueError
-            a, star = int(head), tuple(map(int, tail.split()))
+            a, star = core_graph._natural(head), tuple(map(core_graph._natural, tail.split()))
         except ValueError:
             raise ValueError(f"bad matching line: {line!r}") from None
         if a in stars:
@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lazy)
 
     p = sub.add_parser("decompose", help="dump a decomposition window as TSV")
-    p.add_argument("--window", required=True, help="half-open range, e.g. 0..100")
+    p.add_argument("--window", required=True,
+                   help="half-open range of ASCII decimal indices, e.g. 0..100")
     p.add_argument("--out", default="-")
     p.add_argument("--classic", action="store_true")
     p.add_argument("--mode", choices=["tight", "corollary"], default=None)

@@ -284,21 +284,21 @@ def parse_bg(text: str | bytes) -> tuple[FiniteBipartiteGraph, int | None]:
     Format: UTF-8 lines, after one optional byte-order mark; ``#`` starts
     a comment; an optional ``k <int>`` header may precede the data; data
     lines read ``A <i>: <j1> <j2> ...`` with strictly increasing i across
-    lines and strictly increasing j within a line.  The right vertex set is
-    the union of the listed j.  Blank lines are ignored.
+    lines and strictly increasing j within a line.  Every number is one or
+    more ASCII decimal digits, the right vertices are the listed j, and
+    blank lines are ignored.
     """
     k: int | None = None
     adjacency: dict[int, tuple[int, ...]] = {}
     last_left = -1
-    seen_data = False
     for line_no, line in _data_lines(text):
         if line.startswith("k "):
-            if seen_data:
+            if adjacency:
                 raise ParseError(line_no, "k header must precede data lines")
             if k is not None:
                 raise ParseError(line_no, "duplicate k header")
             try:
-                k = int(line[2:].strip())
+                k = _natural(line[2:])
             except ValueError:
                 raise ParseError(line_no, f"bad k header: {line!r}") from None
             if k < 1:
@@ -310,31 +310,21 @@ def parse_bg(text: str | bytes) -> tuple[FiniteBipartiteGraph, int | None]:
         if not sep:
             raise ParseError(line_no, "missing ':' in data line")
         try:
-            i = int(head.strip())
+            i = _natural(head)
         except ValueError:
             raise ParseError(line_no, f"bad left index: {head.strip()!r}") from None
-        if i < 0:
-            raise ParseError(line_no, "left index must be >= 0")
         if i <= last_left:
             raise ParseError(line_no, f"left index {i} not strictly increasing")
         try:
-            row = tuple(int(tok) for tok in tail.split())
+            row = tuple(map(_natural, tail.split()))
         except ValueError:
             raise ParseError(line_no, "bad right index") from None
-        if any(j < 0 for j in row):
-            raise ParseError(line_no, "right indices must be >= 0")
         if any(x >= y for x, y in zip(row, row[1:])):
             raise ParseError(line_no, "right indices not strictly increasing")
         adjacency[i] = row
         last_left = i
-        seen_data = True
-    rights: set[int] = set()
-    for row in adjacency.values():
-        rights.update(row)
-    graph = FiniteBipartiteGraph(
-        tuple(sorted(adjacency)), tuple(sorted(rights)), adjacency
-    )
-    return graph, k
+    rights = tuple(sorted(set().union(*adjacency.values())))
+    return FiniteBipartiteGraph(tuple(sorted(adjacency)), rights, adjacency), k
 
 
 def dump_bg(graph: FiniteBipartiteGraph, k: int | None = None) -> str:
@@ -367,6 +357,15 @@ def _data_lines(text: str | bytes) -> Iterator[tuple[int, str]]:
         line = raw.strip()
         if line and not line.startswith("#"):
             yield line_no, line
+
+
+def _natural(token: str) -> int:
+    """The index that ``token`` spells, after surrounding whitespace, in
+    one or more ASCII decimal digits; anything else raises ValueError."""
+    token = token.strip()
+    if token.isascii() and token.isdigit():
+        return int(token)
+    raise ValueError(f"not an index: {token!r}")
 
 
 def _order_fault(seq: tuple[int, ...]) -> str | None:

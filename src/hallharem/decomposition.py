@@ -125,9 +125,8 @@ class ParadoxDecomp:
     def __init__(self, spec: ActionGraphSpec, max_ball_size: int = DEFAULT_MAX_BALL):
         self.spec = spec
         self.rank = spec.rank
-        self.oracle = build_action_graph(spec)
         self.engine = EngineState(
-            self.oracle, k=2, h=identity_witness(), max_ball_size=max_ball_size
+            build_action_graph(spec), k=2, h=identity_witness(), max_ball_size=max_ball_size
         )
 
     def psi(self, m: int) -> tuple[int, int]:

@@ -572,16 +572,34 @@ VERIFY_MATCHING = ("verify", "--what", "matching", "--file", "{bg}", "--matching
          "error: window must look like 0..100, got '..5'\n"),
         (("decompose", "--window", "5", "--classic"), "",
          "error: window must look like 0..100, got '5'\n"),
+        # int() takes each of these; an index is ASCII decimal digits only
+        (VERIFY_MATCHING, "0 -> 0 +1\n", "error: bad matching line: '0 -> 0 +1'\n"),
+        (("decompose", "--window", "\u0660..\u0663", "--classic"), "",
+         "error: window must look like 0..100, got '\u0660..\u0663'\n"),
+        (("decompose", "--window", "+0..3", "--classic"), "",
+         "error: window must look like 0..100, got '+0..3'\n"),
     ],
     ids=["matching-without-files", "bad-matching-line", "bad-matching-right",
          "bad-matching-left", "negative-ground-radius", "window-without-end",
-         "window-without-start", "window-without-dots"],
+         "window-without-start", "window-without-dots", "plus-matching-right",
+         "arabic-indic-window", "plus-window"],
 )
 def test_input_error_message(capsys, tmp_path, k12_file, argv, matching, err):
     mfile = tmp_path / "m.txt"
     mfile.write_text(matching)
     argv = [a.format(bg=k12_file, m=mfile) for a in argv]
     assert run(capsys, *argv) == (2, "", err)
+
+
+def test_padded_indices_still_read(capsys, tmp_path, k12_file):
+    # spaces around a token and leading zeros are still plain decimal
+    window = run(capsys, "decompose", "--window", "0..2", "--classic")
+    assert window[0] == 0
+    assert run(capsys, "decompose", "--window", " 0 .. 2 ", "--classic") == window
+    mfile = tmp_path / "m.txt"
+    mfile.write_text("  0  ->  00   1  \n")
+    argv = [a.format(bg=k12_file, m=mfile) for a in VERIFY_MATCHING]
+    assert run(capsys, *argv) == (0, "PASS\n", "")
 
 
 def test_unknown_flag_rejected(capsys):

@@ -128,8 +128,15 @@ def test_parse_out_of_order_left_rejected():
 
 
 def test_parse_negative_left_rejected():
-    with pytest.raises(ParseError, match="left index must be >= 0"):
+    with pytest.raises(ParseError, match="^line 1: bad left index: '-1'$"):
         parse_bg("A -1: 2\n")
+
+
+def test_parse_reads_padded_ascii_indices():
+    # leading zeros and spaces around a token are still plain decimal
+    g, k = parse_bg("k  02\nA 007:  1   03 \n")
+    assert k == 2
+    assert g.adjacency == {7: (1, 3)}
 
 
 def test_parse_header_after_data_rejected():
@@ -152,11 +159,20 @@ def test_parse_garbage_line():
         ("k 2\n\nA 0 1\n", 3, "missing ':' in data line"),
         ("A x: 0\n", 1, "bad left index: 'x'"),
         ("A 0: 0\nA 1: 1 y\n", 2, "bad right index"),
-        ("A 0: -1 2\n", 1, "right indices must be >= 0"),
+        ("A 0: -1 2\n", 1, "bad right index"),
         ("\ufeffA x: 0\n", 1, "bad left index: 'x'"),
+        # int() takes each of these; an index is ASCII decimal digits only
+        ("A 0: 0 +1\n", 1, "bad right index"),
+        ("k 2\nA 0: 1_0\n", 2, "bad right index"),
+        ("A 0: 0\nA 1: \u0661\n", 2, "bad right index"),
+        ("# c\nA 0: \uff12\n", 2, "bad right index"),
+        ("A +0: 1\n", 1, "bad left index: '+0'"),
+        ("k +2\n", 1, "bad k header: 'k +2'"),
+        ("k -1\n", 1, "bad k header: 'k -1'"),
     ],
     ids=["duplicate-k", "bad-k", "k-below-one", "missing-colon", "bad-left", "bad-right",
-         "negative-right", "bad-left-after-byte-order-mark"],
+         "negative-right", "bad-left-after-byte-order-mark", "plus-right", "underscore-right",
+         "arabic-indic-right", "fullwidth-right", "plus-left", "plus-k", "negative-k"],
 )
 def test_parse_rejects_malformed_line(text, line_no, message):
     with pytest.raises(ParseError, match=f"^line {line_no}: {re.escape(message)}$") as err:
